@@ -37,6 +37,13 @@ echo "== tier-1 test suite =="
 run_phase python -m pytest -x -q
 
 echo
+echo "== benchmark self-tests: tracer targets, workloads, correctness gates =="
+# benchmarks/suite sits outside pytest's testpaths; a src/ change that
+# breaks the benchmark's tracer (a renamed target or stats field) fails
+# here instead of at the next benchmark run.
+run_phase python -m pytest benchmarks/suite -q -p no:cacheprovider
+
+echo
 echo "== slow suite (O(n^2) oracle sweeps over the zoo) =="
 run_phase python -m pytest -q -m slow
 

@@ -79,8 +79,7 @@ def main(argv=None) -> int:
         f"evaluations {stats.fs_calls}, incremental sims "
         f"{stats.incremental_sims}, memo hits {stats.cache_hits}, "
         f"batch: {stats.batch_candidates} candidates / "
-        f"{stats.batch_dedup_hits} dedup / {stats.batch_pruned} pruned / "
-        f"{stats.batch_fallbacks} fallbacks"
+        f"{stats.batch_dedup_hits} dedup / {stats.batch_pruned} pruned"
     )
 
     sorts = (args.sort,) if args.sort else ("cumulative", "tottime")

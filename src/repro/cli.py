@@ -209,7 +209,6 @@ def _print_stats(result) -> None:
             ("pruned by lower bound", f"{stats.batch_pruned:,} "
                                       f"({stats.batch_prune_rate:.1%})"),
             ("answered by dedup", f"{stats.batch_dedup_hits:,}"),
-            ("scalar fallbacks", f"{stats.batch_fallbacks:,}"),
         ]
         print(render_table(["batch pricing", "value"], batch_rows))
         print()

@@ -285,8 +285,10 @@ class EvaluatorStats:
             (DESIGN.md §5.7); no simulation ran and no time is reported.
         batch_dedup_hits: candidates answered by another candidate of
             the *same call* that compiles to an identical stage chain.
-        batch_fallbacks: candidates the vectorized batch walk handed
-            back to the scalar replay (order-divergence or guard).
+        batch_fallbacks: always 0.  It counted candidates a vectorized
+            batch walk handed back to the scalar replay; that walk is
+            gone, and the field stays because the planner benchmark's
+            stats reader (``benchmarks/suite/spans.py``) still reads it.
         parallel_jobs: effective worker-pool width (after the core-count
             clamp and any mid-run pool failure; 1 = serial).
         parallel_requested: the width the caller asked for (``--jobs``).
@@ -619,10 +621,6 @@ class StrategyEvaluator:
         self._memo[trial_cfp] = makespan
         return makespan
 
-    #: Below this many distinct chains the vectorized batch walk's setup
-    #: cost exceeds the scalar replays it replaces.
-    _BATCH_MIN_UNIQUE = 6
-
     def price_options(
         self,
         base: CompressionStrategy,
@@ -635,10 +633,9 @@ class StrategyEvaluator:
         The batched analogue of calling :meth:`iteration_time_delta` per
         option (DESIGN.md §5.7): one entry per option, every returned
         float bit-identical to the scalar path.  Candidates compiling to
-        identical stage chains are simulated once; the rest go through
-        the vectorized batch walk when there are enough of them (scalar
-        replays otherwise — and the walk itself re-prices any candidate
-        whose dispatch order diverges from its representative).
+        identical stage chains are simulated once, memoized trials are
+        not simulated again, and each remaining candidate is one
+        :meth:`IncrementalSimulator.swap_chains_flat` replay.
 
         With ``bound`` given, the caller declares it is *min-taking*: it
         only accepts times strictly below ``bound`` and resolves exact
@@ -716,35 +713,36 @@ class StrategyEvaluator:
                 [j],
             )
         pending = list(unique.values())
-        bounds = None
+        order = range(len(pending))
+        bounds: Optional[List[float]] = None
         if bound is not None and pending:
             bounds = _batch.suffix_lower_bounds(
                 inc, index, [entry[0] for entry in pending]
             )
-        if bounds is not None:
-            # Best-first scan with two sound cuts.  A candidate is
-            # skipped (returned as None) when its lower bound proves it
-            # cannot matter to a min-taking caller:
-            #   1. ``forward + lb >= bound`` — the caller rejects any
-            #      time reaching ``bound``, so the exact value (>= lb)
-            #      is irrelevant.
-            #   2. ``lb > best_seen`` — some other candidate in this
-            #      very batch already priced *strictly* below lb, so
-            #      this one can neither win nor tie the batch minimum.
-            # Cut 2 is why the scan runs in ascending-lb order: the
-            # likely winner is priced first and everything above it
-            # falls.  Strictness keeps exact time ties intact — a tying
-            # candidate's lb never exceeds the tied value — so the
-            # (time, key) tie-breaking downstream sees every tie.
+            order = sorted(order, key=bounds.__getitem__)
             bound_makespan = bound - forward
-            best_seen = min(
-                (time - forward for time in results if time is not None),
-                default=None,
-            )
-            for position in sorted(
-                range(len(pending)), key=lambda i: bounds[i]
-            ):
-                flat, trial_cfp, slots = pending[position]
+        # With a bound, a best-first scan with two sound cuts.  A
+        # candidate is skipped (returned as None) when its lower bound
+        # proves it cannot matter to a min-taking caller:
+        #   1. ``forward + lb >= bound`` — the caller rejects any time
+        #      reaching ``bound``, so the exact value (>= lb) is
+        #      irrelevant.
+        #   2. ``lb > best_seen`` — some other candidate in this very
+        #      batch already priced *strictly* below lb, so this one can
+        #      neither win nor tie the batch minimum.
+        # Cut 2 is why the scan runs in ascending-lb order: the likely
+        # winner is priced first and everything above it falls.
+        # Strictness keeps exact time ties intact — a tying candidate's
+        # lb never exceeds the tied value — so the (time, key)
+        # tie-breaking downstream sees every tie.  Without a bound every
+        # candidate is priced, in first-encounter order.
+        best_seen = min(
+            (time - forward for time in results if time is not None),
+            default=None,
+        )
+        for position in order:
+            flat, trial_cfp, slots = pending[position]
+            if bounds is not None:
                 lb = bounds[position]
                 if lb >= bound_makespan or (
                     best_seen is not None and lb > best_seen
@@ -759,28 +757,13 @@ class StrategyEvaluator:
                     if previous is None or lb > previous:
                         self._lb_memo[trial_cfp] = lb
                     continue
-                stats.incremental_sims += 1
-                makespan = inc.swap_chains_flat([(index, *flat)])
-                self._memo[trial_cfp] = makespan
-                for j in slots:
-                    results[j] = forward + makespan
-                if best_seen is None or makespan < best_seen:
-                    best_seen = makespan
-            return results
-        if len(pending) >= self._BATCH_MIN_UNIQUE and _batch.numpy_available():
-            stats.incremental_sims += len(pending)
-            makespans = _batch.batch_swap_makespans(
-                inc, index, [entry[0] for entry in pending]
-            )
-        else:
-            makespans = []
-            for flat, _, _ in pending:
-                stats.incremental_sims += 1
-                makespans.append(inc.swap_chains_flat([(index, *flat)]))
-        for (flat, trial_cfp, slots), makespan in zip(pending, makespans):
+            stats.incremental_sims += 1
+            makespan = inc.swap_chains_flat([(index, *flat)])
             self._memo[trial_cfp] = makespan
             for j in slots:
                 results[j] = forward + makespan
+            if best_seen is None or makespan < best_seen:
+                best_seen = makespan
         return results
 
     # -- public API ------------------------------------------------------

@@ -94,7 +94,8 @@ class IncrementalSimulator:
 
         # Flattened task arrays, exactly as the engine builds them; the
         # base layout stays resident, swaps append scratch tasks past
-        # ``_num_tasks`` and truncate them afterwards.
+        # ``_num_tasks`` to ``_durations`` and ``_post`` and truncate
+        # them afterwards.
         durations: List[float] = []
         resources: List[int] = []
         tensors: List[int] = []
@@ -133,44 +134,37 @@ class IncrementalSimulator:
         # run fills them, checkpoints store copies, and every replay
         # refills them in place via slice assignment.  Stable identity is
         # what lets each task precompute the actual heap object its
-        # successors push into (``s1_heap``/``s2_heap`` below) instead of
-        # resolving ``ready[resource]`` per event.
+        # successors push into instead of resolving ``ready[resource]``
+        # per event.
         self._ready: List[list] = [[] for _ in RESOURCES]
-        # Flattened successor push targets: for task ``t``, the heap and
-        # rank of its pipeline successor (s1) and — on compute stages —
-        # of the next chain's compute stage (s2); heap ``None`` when the
-        # successor is absent.  The event loop reads these instead of
-        # chasing next_in_chain/compute_succ through extra list lookups.
         ready = self._ready
-        s1_heap: List[Optional[list]] = []
-        s1_rank: List[int] = []
-        s2_heap: List[Optional[list]] = []
-        s2_rank: List[int] = []
+        # Completion record per task, consumed by the event loops:
+        # ``(resource, s1 heap, s1 rank, s2 heap, s2 rank)``, where s1 is
+        # the task's pipeline successor and s2 — on compute stages — the
+        # next chain's compute stage (heap ``None`` when absent).  One
+        # list index + a C-level tuple unpack replaces chasing the
+        # successor links through separate array lookups per completed
+        # event in the replay hot path.
+        post: List[tuple] = []
         for t in range(len(durations)):
-            s = next_in_chain[t]
-            s1_heap.append(ready[resources[s]] if s >= 0 else None)
-            s1_rank.append(rank[s] if s >= 0 else 0)
-            s = compute_succ[t]
-            s2_heap.append(ready[resources[s]] if s >= 0 else None)
-            s2_rank.append(rank[s] if s >= 0 else 0)
-        self._s1_heap = s1_heap
-        self._s1_rank = s1_rank
-        self._s2_heap = s2_heap
-        self._s2_rank = s2_rank
-        # Completion record per task, consumed by the event loops: one
-        # list index + a C-level tuple unpack replaces five separate
-        # array lookups per completed event in the replay hot path.  The
-        # flat arrays above stay authoritative (the batch layer reads
-        # them); swaps keep both in step.
-        self._post = list(zip(resources, s1_heap, s1_rank, s2_heap, s2_rank))
+            s1 = next_in_chain[t]
+            s2 = compute_succ[t]
+            post.append(
+                (
+                    resources[t],
+                    ready[resources[s1]] if s1 >= 0 else None,
+                    rank[s1] if s1 >= 0 else 0,
+                    ready[resources[s2]] if s2 >= 0 else None,
+                    rank[s2] if s2 >= 0 else 0,
+                )
+            )
+        self._post = post
         self._durations = durations
         self._resources = resources
         self._tensors = tensors
         self._ks = ks
         self._is_comm = is_comm
         self._rank = rank
-        self._next_in_chain = next_in_chain
-        self._compute_succ = compute_succ
         self._base = base
         self._num_tasks = len(durations)
         self._num_chains = len(chains)
@@ -399,21 +393,12 @@ class IncrementalSimulator:
             return self.base_makespan
         durations = self._durations
         resources = self._resources
-        tensors = self._tensors
-        ks = self._ks
-        rank = self._rank
-        next_in_chain = self._next_in_chain
-        compute_succ = self._compute_succ
-        s1_heap = self._s1_heap
-        s1_rank = self._s1_rank
-        s2_heap = self._s2_heap
-        s2_rank = self._s2_rank
         post = self._post
         ready = self._ready
         n_base = self._num_tasks
-        res_index = self._res_index
         seen = set()
-        saved: List[Tuple[int, int, int, int, tuple]] = []
+        # (tlast, its base completion record) for every applied swap.
+        saved: List[Tuple[int, tuple]] = []
         t_influence = float("inf")
         guard: Optional[set] = set() if len(replacements) > 1 else None
         try:
@@ -452,15 +437,8 @@ class IncrementalSimulator:
                 if m == old_len and m == n_stages:
                     continue  # identical chain: no-op replacement
                 tlast = t0 + m - 1
-                saved.append(
-                    (
-                        tlast,
-                        next_in_chain[tlast],
-                        s1_heap[tlast],
-                        s1_rank[tlast],
-                        post[tlast],
-                    )
-                )
+                old_post = post[tlast]
+                saved.append((tlast, old_post))
                 if guard is not None:
                     guard.add(tlast)
                 end_last = self._end_time[tlast]
@@ -471,68 +449,34 @@ class IncrementalSimulator:
                 if start_id + n_new > _TID_MASK:
                     raise ValueError("too many scratch tasks for the rank encoding")
                 if n_new:
+                    # Scratch task ``start_id + k - m`` runs stage k and
+                    # enters ready heap and rank ``targets[k - m]``; its
+                    # completion record pushes the next scratch task
+                    # (the last one pushes nothing).
                     durations += new_dur[m:]
-                    resources += new_res[m:]
-                    tensor = tensors[t0]
-                    tensors += [tensor] * n_new
-                    ks += range(m, n_stages)
-                    tensor_bits = tensor << (_K_BITS + _TID_BITS)
-                    for k in range(m, n_stages):
-                        rank.append(
-                            tensor_bits | k << _TID_BITS | (start_id + k - m)
+                    tensor_bits = self._tensors[t0] << (_K_BITS + _TID_BITS)
+                    targets = [
+                        (
+                            ready[new_res[k]],
+                            tensor_bits | k << _TID_BITS | (start_id + k - m),
                         )
-                    next_in_chain += range(start_id + 1, start_id + n_new)
-                    next_in_chain.append(-1)
-                    compute_succ += [-1] * n_new
-                    s2_heap += [None] * n_new
-                    s2_rank += [0] * n_new
-                    # Flat successor entries for the scratch tasks (each
-                    # points at the next scratch task; the last at none).
-                    for t in range(start_id, start_id + n_new - 1):
-                        s1_heap.append(ready[resources[t + 1]])
-                        s1_rank.append(rank[t + 1])
-                        post.append(
-                            (resources[t], s1_heap[t], s1_rank[t], None, 0)
-                        )
-                    s1_heap.append(None)
-                    s1_rank.append(0)
-                    last = start_id + n_new - 1
-                    post.append((resources[last], None, 0, None, 0))
-                    next_in_chain[tlast] = start_id
-                    s1_heap[tlast] = ready[resources[start_id]]
-                    s1_rank[tlast] = rank[start_id]
+                        for k in range(m, n_stages)
+                    ]
+                    for k in range(m, n_stages - 1):
+                        post.append((new_res[k], *targets[k + 1 - m], None, 0))
+                    post.append((new_res[n_stages - 1], None, 0, None, 0))
+                    s1_heap, s1_rank = targets[0]
                 else:
-                    next_in_chain[tlast] = -1
-                    s1_heap[tlast] = None
-                    s1_rank[tlast] = 0
-                post[tlast] = (
-                    resources[tlast],
-                    s1_heap[tlast],
-                    s1_rank[tlast],
-                    s2_heap[tlast],
-                    s2_rank[tlast],
-                )
+                    s1_heap, s1_rank = None, 0
+                post[tlast] = (old_post[0], s1_heap, s1_rank, *old_post[3:])
             if not saved:
                 return self.base_makespan
             ci = bisect_right(self._cp_times, t_influence) - 1
             return self._replay(ci, guard)
         finally:
             del durations[n_base:]
-            del resources[n_base:]
-            del tensors[n_base:]
-            del ks[n_base:]
-            del rank[n_base:]
-            del next_in_chain[n_base:]
-            del compute_succ[n_base:]
-            del s1_heap[n_base:]
-            del s1_rank[n_base:]
-            del s2_heap[n_base:]
-            del s2_rank[n_base:]
             del post[n_base:]
-            for tlast, old_nic, old_heap, old_rank, old_post in saved:
-                next_in_chain[tlast] = old_nic
-                s1_heap[tlast] = old_heap
-                s1_rank[tlast] = old_rank
+            for tlast, old_post in saved:
                 post[tlast] = old_post
 
     def _state_key(self, ci: int) -> tuple:

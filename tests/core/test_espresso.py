@@ -1,9 +1,15 @@
 """End-to-end planner tests."""
 
+import time
+
 import pytest
 
+from repro.cluster import nvlink_100g_cluster
+from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core import Espresso
+from repro.core import espresso as espresso_module
 from repro.core.options import Device
+from repro.models import get_model
 
 
 def test_espresso_improves_or_matches_fp32(medium_job):
@@ -30,6 +36,30 @@ def test_result_accounting(medium_job):
         result.compressed_indices
     )
     assert set(result.cpu_indices).isdisjoint(result.gpu_indices)
+
+
+def test_every_offload_pass_counts_as_algorithm2_time(monkeypatch):
+    """The re-offload passes after improving refinement sweeps are
+    Algorithm 2 time, not refinement time."""
+    real = espresso_module.cpu_offload_decision
+    calls = []
+
+    def slow_offload(*args, **kwargs):
+        calls.append(None)
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(espresso_module, "cpu_offload_decision", slow_offload)
+    job = JobConfig(
+        model=get_model("vgg16"),
+        gc=GCInfo("dgc", {"ratio": 0.01}),
+        system=SystemInfo(
+            cluster=nvlink_100g_cluster(num_machines=8, gpus_per_machine=8)
+        ),
+    )
+    result = Espresso(job).select_strategy()
+    assert len(calls) >= 2
+    assert result.offload_selection_seconds >= 0.02 * len(calls)
 
 
 def test_summary_readable(medium_job):

@@ -1,11 +1,10 @@
-"""Vectorized batch pricing layer (DESIGN.md §5.7).
+"""Batched candidate pricing (DESIGN.md §5.7).
 
-The contract under test: everything ``repro.sim.batch`` returns is
-bit-identical to the scalar engine — ``batch_swap_makespans`` equals a
-per-candidate ``swap_chains_flat`` loop float for float, the lower
-bounds never exceed the exact swapped makespan, and ``price_options``'s
-bound-driven pruning changes *which* candidates get exact times but
-never the batch winner, its time, or its ties.
+The contract under test: ``price_options`` without a bound equals a
+from-scratch simulation of every candidate float for float, the lower
+bounds of ``repro.sim.batch`` never exceed the exact swapped makespan,
+and ``price_options``'s bound-driven pruning changes *which* candidates
+get exact times but never the batch winner, its time, or its ties.
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ from repro.core.algorithm import device_candidate_options
 from repro.core.strategy import StrategyEvaluator
 from repro.models import synthetic_model
 from repro.sim import batch as batch_module
-from repro.sim.batch import (
-    batch_swap_makespans,
-    numpy_available,
-    suffix_lower_bounds,
-)
+from repro.sim.batch import suffix_lower_bounds
 from repro.utils.units import MB, MS
 
 OPTIONS = device_candidate_options()
@@ -74,7 +69,7 @@ def _resident(job):
 
 
 def _unique_variants(evaluator, index):
-    """Distinct candidate flat chains for one tensor (the batch layer's
+    """Distinct candidate flat chains for one tensor (the lower bounds'
     input after price_options dedupes)."""
     variants, seen = [], set()
     for option in OPTIONS:
@@ -88,60 +83,35 @@ def _unique_variants(evaluator, index):
 
 @pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
 def test_batch_swap_equals_scalar_swaps(job):
-    """batch_swap_makespans == [swap_chains_flat(one) ...], exactly."""
-    evaluator, _ = _resident(job)
-    inc = evaluator._inc
+    """Unbounded price_options == a from-scratch simulation of every
+    candidate, exactly."""
+    evaluator, base = _resident(job)
+    reference = StrategyEvaluator(job, fast=False)
     for index in range(job.model.num_tensors):
-        variants = _unique_variants(evaluator, index)
-        expected = [
-            inc.swap_chains_flat([(index, res, dur)]) for res, dur in variants
-        ]
-        assert batch_swap_makespans(inc, index, variants) == expected
-
-
-def test_batch_swap_zero_duration_candidate_falls_back():
-    """A candidate with a zero-duration stage is re-priced through the
-    scalar replay (the fixed-order argument needs positive durations) —
-    and still returns the scalar float."""
-    evaluator, _ = _resident(_jobs()[0])
-    inc = evaluator._inc
-    index = 3
-    variants = [
-        (res, dur) for res, dur in _unique_variants(evaluator, index)
-        if len(res) > 1
-    ]
-    res, dur = variants[0]
-    zeroed = (list(res), [dur[0]] + [0.0] * (len(dur) - 1))
-    variants.append(zeroed)
-    expected = [
-        inc.swap_chains_flat([(index, r, d)]) for r, d in variants
-    ]
-    assert batch_swap_makespans(inc, index, variants) == expected
+        assert evaluator.price_options(
+            base, index, OPTIONS
+        ) == reference.price_options(base, index, OPTIONS)
 
 
 def test_batch_swap_validation_matches_scalar():
-    """Invalid inputs raise the same ValueError the scalar path raises."""
+    """Invalid flat candidates raise the scalar path's ValueError."""
     evaluator, _ = _resident(_jobs()[0])
     inc = evaluator._inc
     res, dur = evaluator._flat_chain(2, OPTIONS[0])
-    for index, variants in [
-        (99, [(res, dur)]),                              # index out of range
-        (2, [((), ())]),                                 # empty chain
-        (2, [([res[0]] * 1025, [dur[0]] * 1025)]),       # too many stages
-        (2, [([1 - res[0]] + list(res[1:]), dur)]),      # leading stage swapped
-        (2, [(res, [dur[0] + 1.0] + list(dur[1:]))]),    # leading dur changed
+    for index, variant in [
+        (99, (res, dur)),                              # index out of range
+        (2, ((), ())),                                 # empty chain
+        (2, ([res[0]] * 1025, [dur[0]] * 1025)),       # too many stages
+        (2, ([1 - res[0]] + list(res[1:]), dur)),      # leading stage swapped
+        (2, (res, [dur[0] + 1.0] + list(dur[1:]))),    # leading dur changed
     ]:
         with pytest.raises(ValueError):
-            inc.swap_chains_flat([(index, *variants[0])])
-        with pytest.raises(ValueError):
-            batch_swap_makespans(inc, index, variants)
+            inc.swap_chains_flat([(index, *variant)])
 
 
 @pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
 def test_suffix_lower_bounds_are_sound(job):
     """Every lower bound <= the exact swapped makespan."""
-    if not numpy_available():
-        pytest.skip("numpy unavailable: no bounds to test")
     evaluator, _ = _resident(job)
     inc = evaluator._inc
     for index in range(job.model.num_tensors):
@@ -182,8 +152,9 @@ def test_price_options_bound_preserves_winner_and_ties(job):
 
 
 def test_price_options_stats_accounting():
-    """Counter bookkeeping: every candidate lands in exactly one bucket
-    (resident/memo hit, dedup, pruned, or simulated)."""
+    """Counter bookkeeping: every candidate lands in a bucket (resident
+    or memo hit, dedup, pruned, or simulated), and the derived rates
+    stay fractions."""
     evaluator, base = _resident(_jobs()[0])
     stats_before = (
         evaluator.stats.batch_calls,
@@ -196,24 +167,33 @@ def test_price_options_stats_accounting():
     assert stats.batch_candidates == stats_before[1] + len(OPTIONS)
     assert 0 <= stats.batch_pruned <= stats.batch_candidates
     assert 0 <= stats.batch_prune_rate <= 1.0
-    assert stats.batch_fallbacks == 0  # bounded path never runs the walk
-
-
-def _select(job, monkeypatch=None, vectorized=True):
-    if not vectorized:
-        monkeypatch.setattr(batch_module, "_np", None)
-    result = Espresso(job).select_strategy()
-    return result
+    # Bounded and unbounded pricing of every tensor.
+    for index in range(len(base)):
+        evaluator.price_options(base, index, OPTIONS, bound=base_time)
+        evaluator.price_options(base, index, OPTIONS)
+    assert stats.batch_calls == stats_before[0] + 1 + 2 * len(base)
+    assert 0.0 <= stats.cache_hit_rate <= 1.0
+    assert 0.0 <= stats.prefix_reuse_fraction <= 1.0
+    assert stats.batch_pruned + stats.batch_dedup_hits <= (
+        stats.batch_candidates
+    )
+    assert stats.batch_fallbacks == 0  # kept for stats readers, never set
 
 
 def test_planner_stats_consistent_scalar_vs_vectorized(monkeypatch):
-    """select_strategy() with numpy masked out (pure scalar pricing)
-    makes bit-identical decisions, and the batch counters describe the
-    same candidate stream; only pruning differs (no numpy, no bounds)."""
+    """select_strategy() with the vectorized lower bounds replaced by
+    trivial ones (pure scalar pricing, nothing pruned) makes
+    bit-identical decisions, and the batch counters describe the same
+    candidate stream; only pruning differs."""
     job = _jobs()[0]
-    fast = _select(job)
+    fast = Espresso(job).select_strategy()
     with monkeypatch.context() as patch:
-        scalar = _select(job, patch, vectorized=False)
+        patch.setattr(
+            batch_module,
+            "suffix_lower_bounds",
+            lambda sim, index, variants: [0.0] * len(variants),
+        )
+        scalar = Espresso(job).select_strategy()
     assert scalar.strategy.options == fast.strategy.options
     assert scalar.iteration_time == fast.iteration_time
     s_fast, s_scalar = fast.stats, scalar.stats
@@ -226,13 +206,9 @@ def test_planner_stats_consistent_scalar_vs_vectorized(monkeypatch):
     assert s_scalar.batch_calls == s_fast.batch_calls
     assert s_scalar.batch_candidates == s_fast.batch_candidates
     assert s_scalar.fs_calls == s_fast.fs_calls
-    # Without numpy there are no bounds, hence no pruning — and the
-    # planner's bounded path never engages the batch walk, hence no
-    # order-divergence fallbacks on either side.
-    assert s_scalar.batch_pruned == 0
-    assert s_scalar.batch_fallbacks == 0
-    assert s_fast.batch_fallbacks == 0
+    assert s_scalar.batch_pruned == 0 < s_fast.batch_pruned
     for stats in (s_fast, s_scalar):
+        assert stats.batch_fallbacks == 0
         assert 0.0 <= stats.cache_hit_rate <= 1.0
         assert 0.0 <= stats.prefix_reuse_fraction <= 1.0
         assert stats.batch_pruned + stats.batch_dedup_hits <= (

@@ -195,7 +195,43 @@ def test_swap_validation_errors():
         )
     with pytest.raises(ValueError, match="at least one stage"):
         sim.swap_chain(0, [])
+    with pytest.raises(ValueError, match="more than 1024 stages"):
+        sim.swap_chain(
+            0, [compute_stage(1.0)] + [_sync_stage(INTER, 1.0)] * 1024
+        )
     # The leading compute stage is pinned: a swap may only change the
     # synchronization tail (the planner never changes backprop).
-    with pytest.raises(ValueError):
-        sim.swap_chain(0, [compute_stage(9.0)])
+    tail = [_sync_stage(INTER, 2.0)]
+    for head in (compute_stage(9.0), _sync_stage(INTER, 1.0)):
+        with pytest.raises(ValueError, match="leading compute stage"):
+            sim.swap_chain(0, [head])
+        with pytest.raises(ValueError, match="leading compute stage"):
+            sim.swap_chain(0, [head] + tail)
+
+
+def test_failed_swap_restores_the_simulator():
+    """A swap that raises on a later replacement leaves no scratch tasks
+    and no rewired completion records behind."""
+    chains = [
+        TensorChain(0, [compute_stage(1.0), _sync_stage(INTER, 2.0)]),
+        TensorChain(1, [compute_stage(2.0), _sync_stage(CPU, 1.5)]),
+        TensorChain(2, [compute_stage(1.5), _sync_stage(INTRA, 1.0)]),
+    ]
+    sim = IncrementalSimulator(chains, cpu_capacity=2)
+    post = list(sim._post)
+    good = (
+        0,
+        [compute_stage(1.0), _sync_stage(CPU, 1.5), _sync_stage(INTER, 0.5)],
+    )
+    for bad in (
+        (0, [compute_stage(1.0)]),  # duplicate index
+        (1, [compute_stage(9.0), _sync_stage(CPU, 1.5)]),  # leading stage
+    ):
+        with pytest.raises(ValueError):
+            sim.swap_chains([good, bad])
+        assert len(sim._durations) == sim._num_tasks
+        assert sim._post == post
+        swapped = [good, (2, [compute_stage(1.5), _sync_stage(INTER, 3.0)])]
+        assert sim.swap_chains(swapped) == simulate_makespan(
+            _swapped(chains, swapped), cpu_capacity=2
+        )
