@@ -11,10 +11,13 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_planner.py [model] [--top N]
         [--fast/--no-fast] [--sort cumulative|tottime]
+        [--testbed nvlink|pcie] [--machines N] [--gpus K]
 
-Defaults to bert-base (the slowest zoo selection) with the fast
-incremental evaluation layer on — profile ``--no-fast`` to see what the
-scalar from-scratch engine spends.
+Defaults to bert-base (the slowest zoo selection) on NVLink 8x8 with
+the fast incremental evaluation layer on — profile ``--no-fast`` to see
+what the scalar from-scratch engine spends.  The cluster flags are
+spelled as ``repro plan`` spells them; ``lstm --machines 2 --gpus 2``
+profiles the plan of a fleet tenant (``repro fleet``'s default shape).
 """
 
 from __future__ import annotations
@@ -43,9 +46,12 @@ def main(argv=None) -> int:
         action="store_false",
         help="profile the from-scratch scalar engine instead",
     )
+    parser.add_argument("--testbed", default="nvlink", choices=("nvlink", "pcie"))
+    parser.add_argument("--machines", type=int, default=8)
+    parser.add_argument("--gpus", type=int, default=8, help="GPUs per machine")
     args = parser.parse_args(argv)
 
-    from repro.cluster import nvlink_100g_cluster
+    from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster
     from repro.config import GCInfo, JobConfig, SystemInfo
     from repro.core import Espresso
     from repro.models import available_models, get_model
@@ -56,10 +62,13 @@ def main(argv=None) -> int:
             f"choose from {', '.join(available_models())}"
         )
 
+    factory = nvlink_100g_cluster if args.testbed == "nvlink" else pcie_25g_cluster
     job = JobConfig(
         model=get_model(args.model),
         gc=GCInfo("dgc", {"ratio": 0.01}),
-        system=SystemInfo(cluster=nvlink_100g_cluster()),
+        system=SystemInfo(
+            cluster=factory(num_machines=args.machines, gpus_per_machine=args.gpus)
+        ),
     )
 
     profiler = cProfile.Profile()
@@ -71,7 +80,8 @@ def main(argv=None) -> int:
 
     stats = result.stats
     print(
-        f"{args.model}: selection {elapsed_ms:.1f} ms, "
+        f"{args.model} on {args.testbed} {args.machines}x{args.gpus}: "
+        f"selection {elapsed_ms:.1f} ms, "
         f"iteration_time {result.iteration_time * 1e3:.3f} ms, "
         f"fast_eval={args.fast}"
     )

@@ -20,6 +20,7 @@ Faithful implementation of the paper's pseudo-code:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -29,7 +30,6 @@ from repro.core.parallel import EvaluatorPool, best_priced, price_candidates
 from repro.core.plan import PlanCompiler
 from repro.core.strategy import CompressionStrategy, StrategyEvaluator
 from repro.core.tree import enumerate_options
-from repro.sim.stages import COMM
 
 #: Unified improvement threshold for GetBestOption and the refinement
 #: sweep.  Algorithm 1 used to accept any strictly smaller time while
@@ -150,7 +150,18 @@ def device_candidate_options(
     candidate set closes that gap while keeping the per-tensor greedy
     structure; Algorithm 2 still optimizes placement of the
     GPU-compressed groups afterwards.
+
+    The set is a pure function of the two flags, so the decision tree
+    is walked once per process; every call returns a fresh list of the
+    same (immutable, already key-interned) options.
     """
+    return list(_device_candidates(include_flat, include_rooted))
+
+
+@functools.lru_cache(maxsize=None)
+def _device_candidates(
+    include_flat: bool, include_rooted: bool
+) -> Tuple[CompressionOption, ...]:
     gpu = gpu_candidate_options(include_flat, include_rooted)
     cpu = [
         option
@@ -159,7 +170,7 @@ def device_candidate_options(
         )
         if option.compresses
     ]
-    return gpu + cpu
+    return tuple(gpu + cpu)
 
 
 def prefilter_candidates(
@@ -170,14 +181,19 @@ def prefilter_candidates(
 ) -> List[CompressionOption]:
     """Shrink the candidate set for one tensor size by standalone cost.
 
-    GetBestOption() prices every candidate with a full timeline
-    simulation — exact but expensive for models with hundreds of tensors.
+    GetBestOption() prices every candidate's F(S) by delta simulation
+    against the resident strategy, pruning candidates whose sound lower
+    bound cannot beat the incumbent — still a timeline replay per
+    candidate left, expensive for models with hundreds of tensors.
     Most candidates are dominated *for a given size* before interactions
     are even considered: they move more bytes and burn more device time.
     This filter keeps, per device class, the ``per_device`` cheapest
     options by standalone communication time and by standalone total
     time (both kept, because a CPU option's larger total can still win
-    through overlap).  ``per_device=0`` disables filtering — the exact,
+    through overlap).  The ranking uses
+    :meth:`~repro.core.plan.PlanCompiler.standalone_times`, which prices
+    a candidate without building its stage chain, so only the survivors
+    are ever compiled.  ``per_device=0`` disables filtering — the exact,
     paper-sized search.
     """
     if per_device <= 0:
@@ -185,9 +201,7 @@ def prefilter_candidates(
     by_device: dict = {}
     for option in candidates:
         device = "cpu" if option.uses_device(Device.CPU) else "gpu"
-        stages = compiler.stages(option, num_elements)
-        comm = sum(s.duration for s in stages if s.kind == COMM)
-        total = sum(s.duration for s in stages)
+        comm, total = compiler.standalone_times(option, num_elements)
         by_device.setdefault(device, []).append((comm, total, option))
     kept: List[CompressionOption] = []
     seen: set = set()
@@ -205,7 +219,7 @@ class CandidatePrefilter:
     """Planner-owned per-size prefilter cache shared across phases.
 
     :func:`prefilter_candidates` prices every candidate's standalone
-    stage chain; the result depends only on the tensor *size*, yet each
+    cost; the result depends only on the tensor *size*, yet each
     ``gpu_compression_decision`` and every ``refinement_sweep`` call used
     to rebuild it from scratch.  One instance of this class, created by
     the :class:`~repro.core.espresso.Espresso` planner and threaded

@@ -7,6 +7,13 @@ state (dense region size, compressed wire size, pending pieces), prices
 every action with the cost models, and emits the
 :class:`~repro.sim.stages.Stage` chain the timeline simulator executes.
 
+Pricing is one walk per (option, size) over a per-option *program*: the
+option's actions with their stage labels, kinds and resources, device
+time models and phase link parameters resolved once per compiler.  The
+walk has two outputs: :meth:`PlanCompiler.stages` wraps its durations in
+(cached) ``Stage`` objects, and :meth:`PlanCompiler.standalone_times`
+sums them without building any.
+
 Payload-state rules (one representative GPU):
 
 * A first-step collective (Reduce-scatter/Alltoall) divides the dense
@@ -28,7 +35,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.topology import ClusterSpec
 from repro.comm.routines import LinkParams, Routine, routine_time
@@ -55,6 +62,7 @@ from repro.sim.stages import (
     INTRA,
     Stage,
 )
+from repro.utils.validation import check_non_negative
 
 _ROUTINE_MAP = {
     RoutineName.ALLREDUCE: Routine.ALLREDUCE,
@@ -68,8 +76,12 @@ _ROUTINE_MAP = {
 
 #: Routines that divide the dense region across participants.
 _DIVIDING = (RoutineName.REDUCE_SCATTER, RoutineName.ALLTOALL)
-#: Routines that concentrate the payload on a root.
-_ROOTED = (RoutineName.REDUCE, RoutineName.GATHER, RoutineName.BROADCAST)
+#: Stage kind of each device micro-task.
+_DEVICE_KINDS = {
+    ActionTask.COMP: COMPRESS,
+    ActionTask.DECOMP: DECOMPRESS,
+    ActionTask.AGG: AGGREGATE,
+}
 
 
 @dataclass
@@ -80,6 +92,20 @@ class _PayloadState:
     compressed: bool = False
     pieces: int = 1  # identical-region compressed pieces awaiting agg
     machine_multiplier: int = 1  # active GPUs per machine on the NIC
+
+
+class _Step(NamedTuple):
+    """One action of an option, resolved once per compiler: its stage's
+    resource, kind and label, and how it is priced — a device time-model
+    method for COMP/DECOMP/AGG, a routine on a phase link otherwise."""
+
+    action: Action
+    resource: str
+    kind: str
+    label: str
+    device_time: Optional[Callable[[int], float]] = None
+    routine: Optional[Routine] = None
+    link: Optional[LinkParams] = None
 
 
 class PlanCompiler:
@@ -99,6 +125,10 @@ class PlanCompiler:
             Device.CPU: CompressionTimeModel(cpu, compressor.work_factor),
         }
         self._cache: Dict[Tuple[int, int], List[Stage]] = {}
+        #: (effective compressor, steps) per canonical option key, and
+        #: (resource, link params) per phase.
+        self._programs: Dict[int, Tuple[Compressor, Tuple[_Step, ...]]] = {}
+        self._links: Dict[Phase, Tuple[str, LinkParams]] = {}
         #: Ratio-pinned shallow copies of ``compressor``, one per ladder
         #: ratio the planner prices.  ``work_factor`` is ratio-independent
         #: for every registered algorithm, so the time models stay shared.
@@ -135,23 +165,120 @@ class PlanCompiler:
         ratio ladder builds ad-hoc pinned variants whose recycled ids
         could alias a stale chain, while value keys cannot.
         """
-        if num_elements < 1:
-            raise ValueError(f"num_elements must be >= 1, got {num_elements}")
         key = (canonical_key(option), num_elements)
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._compile(option, num_elements)
+            cached = [
+                Stage(
+                    resource=step.resource,
+                    duration=duration,
+                    kind=step.kind,
+                    label=step.label,
+                )
+                for step, duration in self._walk(option, num_elements)
+            ]
             self._cache[key] = cached
         return cached
 
-    # -- compilation -----------------------------------------------------
+    def standalone_times(
+        self, option: CompressionOption, num_elements: int
+    ) -> Tuple[float, float]:
+        """(communication, total) seconds of ``option``'s chain for a
+        tensor of this size, without building the chain.
 
-    def _wire_bytes(
-        self, state: _PayloadState, compressor: Optional[Compressor] = None
-    ) -> float:
+        Equal bit for bit to summing :meth:`stages`' ``COMM``-stage
+        durations and all its durations with the builtin ``sum``: both
+        walk the same durations in the same order, and the order is part
+        of the contract (Python 3.12's ``sum`` is compensated).  Builds
+        no ``Stage`` and fills no chain cache.  A single-GPU cluster
+        gives ``(0.0, 0.0)``.
+        """
+        comm: List[float] = []
+        total: List[float] = []
+        for step, duration in self._walk(option, num_elements):
+            check_non_negative("duration", duration)
+            total.append(duration)
+            if step.kind == COMM:
+                comm.append(duration)
+        return sum(comm), sum(total)
+
+    # -- the pricing walk ------------------------------------------------
+
+    def _walk(
+        self, option: CompressionOption, num_elements: int
+    ) -> List[Tuple[_Step, float]]:
+        """Price ``option`` for a tensor of ``num_elements``: the
+        (step, duration) of every stage its chain keeps, in order."""
+        if num_elements < 1:
+            raise ValueError(f"num_elements must be >= 1, got {num_elements}")
+        compressor, steps = self._program(option)
+        state = _PayloadState(region_elements=float(num_elements))
+        priced: List[Tuple[_Step, float]] = []
+        for step in steps:
+            action = step.action
+            if step.device_time is None:
+                payload = self._wire_bytes(state, compressor)
+                if action.phase is Phase.INTER:
+                    payload *= state.machine_multiplier
+                duration = routine_time(step.routine, payload, step.link)
+                if duration > 0.0:
+                    priced.append((step, duration))
+                self._apply_comm(action, state, step.link.participants)
+                continue
+            elements = max(1, math.ceil(state.region_elements))
+            dense_bytes = elements * FP32_BYTES
+            if action.task is ActionTask.COMP:
+                priced.append((step, step.device_time(dense_bytes)))
+                state.compressed = True
+            elif action.task is ActionTask.DECOMP:
+                priced.append((step, step.device_time(state.pieces * dense_bytes)))
+                state.compressed = False
+            else:  # AGG
+                priced.append((step, step.device_time(state.pieces * dense_bytes)))
+                state.pieces = 1
+        return priced
+
+    def _program(
+        self, option: CompressionOption
+    ) -> Tuple[Compressor, Tuple[_Step, ...]]:
+        """``option``'s effective compressor and resolved steps (cached
+        per option value; empty when there is nothing to synchronize)."""
+        key = canonical_key(option)
+        program = self._programs.get(key)
+        if program is None:
+            actions = option.actions if self.cluster.is_distributed else ()
+            steps = tuple(self._resolve(action) for action in actions)
+            program = (self.compressor_for(option), steps)
+            self._programs[key] = program
+        return program
+
+    def _resolve(self, action: Action) -> _Step:
+        """One action with everything its pricing needs but the size."""
+        label = action.describe()
+        if action.task in _DEVICE_KINDS:
+            model = self._models[action.device]
+            if action.task is ActionTask.COMP:
+                device_time = model.compress_time
+            elif action.task is ActionTask.DECOMP:
+                device_time = model.decompress_time
+            else:
+                device_time = model.aggregate_time
+            resource = GPU if action.device is Device.GPU else CPU
+            return _Step(
+                action, resource, _DEVICE_KINDS[action.task], label, device_time
+            )
+        resource, link = self._link(action.phase)
+        return _Step(
+            action,
+            resource,
+            COMM,
+            label,
+            routine=_ROUTINE_MAP[action.routine],
+            link=link,
+        )
+
+    def _wire_bytes(self, state: _PayloadState, compressor: Compressor) -> float:
         """Current per-GPU payload bytes on the wire."""
-        if compressor is None:
-            compressor = self.compressor
         elements = max(1, math.ceil(state.region_elements))
         if state.compressed:
             return float(
@@ -159,8 +286,15 @@ class PlanCompiler:
             )
         return float(state.pieces * elements * FP32_BYTES)
 
-    def _link(self, phase: Phase) -> Tuple[str, LinkParams, int]:
-        """(resource, link params, participants) of a phase's collectives."""
+    def _link(self, phase: Phase) -> Tuple[str, LinkParams]:
+        """(resource, link params) of a phase's collectives, built — and
+        so validated — once per compiler."""
+        link = self._links.get(phase)
+        if link is None:
+            link = self._links[phase] = self._build_link(phase)
+        return link
+
+    def _build_link(self, phase: Phase) -> Tuple[str, LinkParams]:
         cluster = self.cluster
         if phase in (Phase.INTRA1, Phase.INTRA2):
             return (
@@ -168,7 +302,6 @@ class PlanCompiler:
                 LinkParams(
                     cluster.gpus_per_machine, cluster.intra_bw, cluster.intra_latency
                 ),
-                cluster.gpus_per_machine,
             )
         if phase is Phase.INTER:
             return (
@@ -176,7 +309,6 @@ class PlanCompiler:
                 LinkParams(
                     cluster.num_machines, cluster.inter_bw, cluster.inter_latency
                 ),
-                cluster.num_machines,
             )
         # Flat: all GPUs in one collective; the NIC (shared by the
         # machine's GPUs) is the bottleneck link when machines > 1.
@@ -185,80 +317,11 @@ class PlanCompiler:
             return (
                 INTER,
                 LinkParams(cluster.total_gpus, bandwidth, cluster.inter_latency),
-                cluster.total_gpus,
             )
         return (
             INTRA,
             LinkParams(cluster.total_gpus, cluster.intra_bw, cluster.intra_latency),
-            cluster.total_gpus,
         )
-
-    def _comm_stage(
-        self,
-        action: Action,
-        state: _PayloadState,
-        compressor: Optional[Compressor] = None,
-    ) -> Tuple[Stage, int]:
-        """Price one collective and return (stage, participants)."""
-        resource, link, participants = self._link(action.phase)
-        payload = self._wire_bytes(state, compressor)
-        if action.phase is Phase.INTER:
-            payload *= state.machine_multiplier
-        duration = routine_time(_ROUTINE_MAP[action.routine], payload, link)
-        stage = Stage(
-            resource=resource,
-            duration=duration,
-            kind=COMM,
-            label=action.describe(),
-        )
-        return stage, participants
-
-    def _device_stage(
-        self, action: Action, state: _PayloadState
-    ) -> Stage:
-        """Price a COMP/DECOMP/AGG micro-task."""
-        model = self._models[action.device]
-        resource = GPU if action.device is Device.GPU else CPU
-        elements = max(1, math.ceil(state.region_elements))
-        dense_bytes = elements * FP32_BYTES
-        if action.task is ActionTask.COMP:
-            duration = model.compress_time(dense_bytes)
-        elif action.task is ActionTask.DECOMP:
-            duration = model.decompress_time(state.pieces * dense_bytes)
-        else:  # AGG
-            duration = model.aggregate_time(state.pieces * dense_bytes)
-        kind = {
-            ActionTask.COMP: COMPRESS,
-            ActionTask.DECOMP: DECOMPRESS,
-            ActionTask.AGG: AGGREGATE,
-        }[action.task]
-        return Stage(
-            resource=resource, duration=duration, kind=kind, label=action.describe()
-        )
-
-    def _compile(self, option: CompressionOption, num_elements: int) -> List[Stage]:
-        cluster = self.cluster
-        if not cluster.is_distributed:
-            return []
-        stages: List[Stage] = []
-        state = _PayloadState(region_elements=float(num_elements))
-        compressor = self.compressor_for(option)
-        for action in option.actions:
-            if action.task is ActionTask.COMP:
-                stages.append(self._device_stage(action, state))
-                state.compressed = True
-            elif action.task is ActionTask.DECOMP:
-                stages.append(self._device_stage(action, state))
-                state.compressed = False
-            elif action.task is ActionTask.AGG:
-                stages.append(self._device_stage(action, state))
-                state.pieces = 1
-            else:
-                stage, participants = self._comm_stage(action, state, compressor)
-                if stage.duration > 0.0:
-                    stages.append(stage)
-                self._apply_comm(action, state, participants)
-        return stages
 
     def _apply_comm(
         self, action: Action, state: _PayloadState, participants: int

@@ -101,14 +101,10 @@ def myopic_compression(job: JobConfig) -> float:
     candidates = _compressed_options("uniform")
     strategy = evaluator.baseline()
     for index, tensor in enumerate(evaluator.model.tensors):
-        plain = sum(
-            s.duration for s in compiler.stages(strategy[index], tensor.num_elements)
-        )
+        _, plain = compiler.standalone_times(strategy[index], tensor.num_elements)
         best_cost, best_option = plain, None
         for option in candidates:
-            cost = sum(
-                s.duration for s in compiler.stages(option, tensor.num_elements)
-            )
+            _, cost = compiler.standalone_times(option, tensor.num_elements)
             if cost < best_cost:
                 best_cost, best_option = cost, option
         if best_option is not None:

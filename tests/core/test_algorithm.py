@@ -12,11 +12,14 @@ from repro.core.algorithm import (
     refinement_sweep,
     sorted_tensor_groups,
 )
+from repro.cluster import nvlink_100g_cluster
 from repro.core.options import Device, canonical_key, no_compression_option
 from repro.core.parallel import best_priced
-from repro.models import synthetic_model
+from repro.core.plan import PlanCompiler
+from repro.models import get_model, synthetic_model
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core.strategy import StrategyEvaluator
+from repro.sim.stages import COMM
 from repro.utils.units import MB, MS
 
 
@@ -30,6 +33,19 @@ def test_device_candidates_include_both():
     candidates = device_candidate_options()
     assert any(o.uses_device(Device.GPU) for o in candidates)
     assert any(o.uses_device(Device.CPU) for o in candidates)
+
+
+def test_device_candidates_fresh_list_per_call():
+    """The set is enumerated once per process, but every caller gets a
+    list of its own to mutate."""
+    first = device_candidate_options()
+    second = device_candidate_options()
+    assert first == second
+    first.clear()
+    second.pop()
+    assert device_candidate_options() == device_candidate_options()
+    assert len(device_candidate_options()) == len(second) + 1
+    assert len(device_candidate_options(include_rooted=True)) > len(second) + 1
 
 
 def test_sorted_tensor_groups_order(small_cluster):
@@ -191,6 +207,62 @@ def test_sub_epsilon_improvement_is_rejected(medium_evaluator, monkeypatch):
     assert not improved
     assert swept.options == base.options
     assert swept_time == best
+
+
+def _reference_prefilter(compiler, candidates, num_elements, per_device=3):
+    """The prefilter's ranking rule spelled out over compiled chains."""
+    by_device = {}
+    for option in candidates:
+        stages = compiler.stages(option, num_elements)
+        comm = sum(s.duration for s in stages if s.kind == COMM)
+        total = sum(s.duration for s in stages)
+        by_device.setdefault(option.uses_device(Device.CPU), []).append(
+            (comm, total, option)
+        )
+    kept = []
+    for entries in by_device.values():
+        for key in (0, 1):
+            for entry in sorted(entries, key=lambda e: e[key])[:per_device]:
+                if entry[2] not in kept:
+                    kept.append(entry[2])
+    return kept
+
+
+def test_prefilter_ranks_without_compiling_chains(monkeypatch):
+    """Ranking a fleet tenant's candidates (lstm on NVLink 2x2) builds
+    no stage chain, and keeps exactly what a ranking over compiled
+    chains keeps."""
+
+    def evaluator():
+        return StrategyEvaluator(
+            JobConfig(
+                model=get_model("lstm"),
+                gc=GCInfo("dgc", {"ratio": 0.01}),
+                system=SystemInfo(
+                    cluster=nvlink_100g_cluster(num_machines=2, gpus_per_machine=2)
+                ),
+            )
+        )
+
+    fresh = evaluator()
+    candidates = device_candidate_options()
+    sizes = sorted({tensor.num_elements for tensor in fresh.model.tensors})
+    compiled = []
+    real_stages = PlanCompiler.stages
+
+    def counting_stages(self, option, num_elements):
+        compiled.append((option, num_elements))
+        return real_stages(self, option, num_elements)
+
+    monkeypatch.setattr(PlanCompiler, "stages", counting_stages)
+    prefilter = CandidatePrefilter(fresh.compiler, candidates)
+    kept = {size: prefilter.for_size(size) for size in sizes}
+    assert compiled == []
+    monkeypatch.undo()
+
+    reference = evaluator().compiler
+    for size in sizes:
+        assert kept[size] == _reference_prefilter(reference, candidates, size)
 
 
 def test_prefilter_rejects_mismatched_candidate_set(medium_evaluator):

@@ -9,6 +9,7 @@ from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core import Espresso
 from repro.core import espresso as espresso_module
 from repro.core.options import Device
+from repro.core.strategy import StrategyEvaluator
 from repro.models import get_model
 
 
@@ -60,6 +61,33 @@ def test_every_offload_pass_counts_as_algorithm2_time(monkeypatch):
     result = Espresso(job).select_strategy()
     assert len(calls) >= 2
     assert result.offload_selection_seconds >= 0.02 * len(calls)
+
+
+def test_selection_seconds_covers_every_evaluation(monkeypatch):
+    """Pricing the FP32 baseline and the portfolio seeds is planner
+    work: the reported phases must cover every F(S) call selection makes."""
+    real = StrategyEvaluator.iteration_time
+    spent = []
+
+    def slow_iteration_time(self, strategy):
+        start = time.perf_counter()
+        time.sleep(0.02)
+        try:
+            return real(self, strategy)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    monkeypatch.setattr(StrategyEvaluator, "iteration_time", slow_iteration_time)
+    job = JobConfig(
+        model=get_model("lstm"),
+        gc=GCInfo("dgc", {"ratio": 0.01}),
+        system=SystemInfo(
+            cluster=nvlink_100g_cluster(num_machines=8, gpus_per_machine=8)
+        ),
+    )
+    result = Espresso(job).select_strategy()
+    assert len(spent) >= 8  # baseline, six portfolio seeds, one sweep
+    assert result.selection_seconds >= sum(spent)
 
 
 def test_summary_readable(medium_job):

@@ -3,16 +3,19 @@
 Invariants checked over the *entire* enumerated option space x random
 tensor sizes x random cluster shapes: compilation never fails, durations
 are finite and non-negative, compressed options beat the FP32 option on
-inter-machine traffic for large tensors, and CPU-device options never
-occupy the GPU stream.
+inter-machine traffic for large tensors, CPU-device options never
+occupy the GPU stream, and the pricing walk's two outputs (stage chains
+and standalone times) agree bit for bit.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster, single_gpu
 from repro.cluster.topology import ClusterSpec
-from repro.compression import DGC, EFSignSGD
-from repro.core.options import Device, no_compression_option
+from repro.compression import DGC, EFSignSGD, available_compressors, create_compressor
+from repro.core.options import DEFAULT_RATIO_LADDER, Device, no_compression_option
 from repro.core.plan import PlanCompiler
 from repro.core.tree import enumerate_options
 from repro.profiling import v100_gpu, xeon_cpu
@@ -112,3 +115,60 @@ def test_stage_durations_monotone_in_size(index, num_elements, cluster):
     small = sum(s.duration for s in compiler.stages(option, num_elements))
     large = sum(s.duration for s in compiler.stages(option, num_elements * 2))
     assert large >= small - 1e-12
+
+
+_FULL_SPACE = enumerate_options(mode="independent", include_rooted=True)
+
+
+@st.composite
+def full_space_options(draw):
+    """An option of the full Table 3 space, or one of its ladder variants."""
+    option = _FULL_SPACE[draw(st.integers(0, len(_FULL_SPACE) - 1))]
+    if option.compresses:
+        option = option.with_ratio(
+            draw(st.sampled_from((None, *DEFAULT_RATIO_LADDER)))
+        )
+    return option
+
+
+testbeds = st.one_of(
+    st.builds(nvlink_100g_cluster, st.integers(1, 8), st.integers(1, 8)),
+    st.builds(pcie_25g_cluster, st.integers(1, 8), st.integers(1, 8)),
+    st.just(single_gpu()),
+)
+tensor_sizes = st.one_of(
+    st.integers(1, 10**8),
+    st.sampled_from((2, 3, 97, 65537, 999983, 15485863, 86028121, 99999989)),
+)
+
+
+@given(
+    full_space_options(),
+    tensor_sizes,
+    testbeds,
+    st.sampled_from(available_compressors()),
+)
+@settings(max_examples=500, deadline=None)
+def test_standalone_times_equal_stage_sums(option, num_elements, cluster, name):
+    """``standalone_times`` is the chain's (COMM, total) duration sums,
+    compared with ``==``: the same durations summed in the same order.
+    Both outputs reject empty tensors, on every cluster."""
+    compiler = PlanCompiler(
+        cluster=cluster,
+        compressor=create_compressor(name),
+        gpu=v100_gpu(),
+        cpu=xeon_cpu(),
+    )
+    times = compiler.standalone_times(option, num_elements)
+    stages = compiler.stages(option, num_elements)
+    assert times == (
+        sum(s.duration for s in stages if s.kind == COMM),
+        sum(s.duration for s in stages),
+    )
+    if not cluster.is_distributed:
+        assert times == (0.0, 0.0)
+    for empty in (0, -num_elements):
+        with pytest.raises(ValueError):
+            compiler.standalone_times(option, empty)
+        with pytest.raises(ValueError):
+            compiler.stages(option, empty)
