@@ -16,7 +16,8 @@ The mix exercises all three failure injections at once:
   deadline far below planning cost, forcing the degradation ladder)
 
 It then spot-checks **bit-identity**: for a sample of non-degraded
-responses it re-runs the planner in-process on the same inputs and
+responses, always including those whose request sets a ratio ladder or
+error budget, it re-runs the planner in-process on the same inputs and
 compares strategy digest, per-tensor options, and iteration time —
 the served plan must be exactly the plan ``repro plan`` would print.
 
@@ -47,15 +48,23 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.service.api import PlanRequest, strategy_digest  # noqa: E402
+from repro.core.options import DEFAULT_RATIO_LADDER  # noqa: E402
+from repro.service.api import PlanRequest  # noqa: E402
 from repro.service.core import PlanningCore  # noqa: E402
+
+#: Request keys that are planner knobs beyond the job itself.
+KNOBS = ("ratios", "error_budget")
 
 #: The job pool the seeded mix draws from: small enough to plan in
 #: fractions of a second, varied enough to exercise the cache's exact
-#: and family indices.
+#: and family indices.  The laddered lstm 2x2 entry is the twin of the
+#: fixed one before it and plans differently, so an exact-cache key
+#: that ignored the knobs would serve it the wrong plan.
 JOB_POOL = [
     {"model": "lstm", "gc": "dgc", "ratio": 0.01, "machines": 2, "gpus": 4},
     {"model": "lstm", "gc": "dgc", "ratio": 0.01, "machines": 2, "gpus": 2},
+    {"model": "lstm", "gc": "dgc", "ratio": 0.01, "machines": 2, "gpus": 2,
+     "ratios": list(DEFAULT_RATIO_LADDER)},
     {"model": "lstm", "gc": "dgc", "ratio": 0.05, "machines": 2, "gpus": 4},
     {"model": "lstm", "gc": "randomk", "ratio": 0.01, "machines": 2, "gpus": 4},
     {"model": "lstm", "gc": "efsignsgd", "machines": 2, "gpus": 4},
@@ -219,8 +228,14 @@ async def run_load(args: argparse.Namespace, port: int, mix: list):
 
 
 def verify_bit_identity(results: list, mix: list, sample: int) -> dict:
-    """Re-plan a sample of non-degraded responses in-process and compare."""
-    by_fingerprint = {}
+    """Re-plan non-degraded responses in-process and compare.
+
+    Checks the first ``sample`` distinct request specs plus every
+    distinct spec that sets a planner knob (:data:`KNOBS`), each
+    re-planned through the same ``PlanningCore.plan_request`` call the
+    server makes.
+    """
+    by_spec = {}
     for payload, response in zip(mix, results):
         if not response or response.get("status") != "ok":
             continue
@@ -228,29 +243,32 @@ def verify_bit_identity(results: list, mix: list, sample: int) -> dict:
             "fresh", "cache"
         ):
             continue
-        by_fingerprint.setdefault(response["fingerprint"], (payload, response))
-    checked = matched = 0
+        spec = {
+            k: v for k, v in payload.items()
+            if k not in ("op", "request_id", "deadline_s")
+        }
+        by_spec.setdefault(json.dumps(spec, sort_keys=True), (spec, response))
+    ordered = [entry for _, entry in sorted(by_spec.items())]
+    chosen = ordered[:sample] + [
+        (spec, response) for spec, response in ordered[sample:]
+        if any(knob in spec for knob in KNOBS)
+    ]
+    matched = 0
     mismatches = []
     core = PlanningCore()
-    for fingerprint, (payload, response) in sorted(by_fingerprint.items()):
-        if checked >= sample:
-            break
-        request = PlanRequest.from_dict(
-            {k: v for k, v in payload.items() if k not in ("deadline_s",)}
-        )
-        result = core.plan_job(request.build_job())
-        checked += 1
+    for spec, response in chosen:
+        entry = core.plan_request(PlanRequest.from_dict(spec))
         same = (
-            strategy_digest(result.strategy) == response["strategy_digest"]
-            and [o.describe() for o in result.strategy.options]
-            == response["options"]
-            and result.iteration_time == response["iteration_time"]
+            entry.digest == response["strategy_digest"]
+            and list(entry.options_text) == response["options"]
+            and entry.iteration_time == response["iteration_time"]
         )
         if same:
             matched += 1
         else:
-            mismatches.append(fingerprint)
-    return {"checked": checked, "matched": matched, "mismatches": mismatches}
+            mismatches.append(response["fingerprint"])
+    return {"checked": len(chosen), "matched": matched,
+            "mismatches": mismatches}
 
 
 async def amain(args: argparse.Namespace) -> int:
@@ -413,7 +431,9 @@ def main() -> int:
     parser.add_argument("--breaker-cooldown", type=float, default=0.5)
     parser.add_argument("--verify-plans", type=int, default=3,
                         help="distinct non-degraded plans to re-plan "
-                             "in-process for the bit-identity check")
+                             "in-process for the bit-identity check "
+                             "(plans whose request sets ratios or "
+                             "error_budget are always re-planned too)")
     parser.add_argument("--client-timeout", type=float, default=120.0,
                         help="per-request client wait before declaring a "
                              "drop")

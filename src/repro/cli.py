@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from repro.baselines import ALL_SYSTEMS, FP32, HiPress, UpperBound
-from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster
+from repro.cluster import nvlink_100g_cluster
 from repro.cluster.tenancy import FleetSpec, TenantSpec, load_fleet
 from repro.config import (
     GCInfo,
@@ -64,6 +64,7 @@ from repro.core.robust import (
 )
 from repro.core.strategy import StrategyEvaluator, baseline_strategy
 from repro.core.tree import search_space_size
+from repro.service.api import RequestError, preset_cluster
 from repro.service.core import PlanningCore, run_systems, validate_suite
 from repro.service.resilience import ChaosSchedule, RetryPolicy
 from repro.service.server import ServerConfig, serve
@@ -127,8 +128,10 @@ def _build_job(args: argparse.Namespace) -> JobConfig:
     if args.system_config:
         cluster = _load_config(load_cluster, args.system_config, "system")
     else:
-        factory = nvlink_100g_cluster if args.testbed == "nvlink" else pcie_25g_cluster
-        cluster = factory(num_machines=args.machines, gpus_per_machine=args.gpus)
+        try:
+            cluster = preset_cluster(args.testbed, args.machines, args.gpus)
+        except RequestError as error:
+            raise CLIConfigError(str(error)) from None
     job = JobConfig(model=model, gc=gc, system=SystemInfo(cluster=cluster))
     # Instantiate the compressor eagerly: a typo'd GC parameter or an
     # out-of-range ratio surfaces here as a one-line exit-2 diagnostic
@@ -617,17 +620,12 @@ def _build_fleet(args: argparse.Namespace) -> FleetSpec:
         _parse_tenant(value, index)
         for index, value in enumerate(args.tenant)
     )
-    factory = (
-        nvlink_100g_cluster if args.testbed == "nvlink" else pcie_25g_cluster
-    )
     try:
-        cluster = factory(
-            num_machines=args.machines, gpus_per_machine=args.gpus
-        )
+        cluster = preset_cluster(args.testbed, args.machines, args.gpus)
         fleet = FleetSpec(cluster=cluster, tenants=tenants)
         for tenant in fleet.tenants:
             tenant.job(cluster)  # surfaces bad GC params as exit 2
-    except ValueError as error:
+    except (RequestError, ValueError) as error:
         raise CLIConfigError(str(error)) from None
     return fleet
 

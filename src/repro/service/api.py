@@ -27,9 +27,9 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster
+from repro.cluster import ClusterSpec, nvlink_100g_cluster, pcie_25g_cluster
 from repro.config import (
     GCInfo,
     JobConfig,
@@ -62,6 +62,47 @@ class RequestError(Exception):
     The server maps it to a ``status: "error"`` response; the CLI maps
     it to the usual one-line exit-2 diagnostic.
     """
+
+
+def preset_cluster(testbed: str, machines: int, gpus: int) -> ClusterSpec:
+    """The preset ``testbed`` cluster of ``machines`` x ``gpus`` GPUs.
+
+    Shared by the wire requests and the CLI flags; an unknown testbed
+    or a non-positive dimension raises :class:`RequestError`.
+    """
+    if testbed not in TESTBEDS:
+        raise RequestError(
+            f"unknown testbed {testbed!r}; expected one of {TESTBEDS}"
+        )
+    if machines < 1 or gpus < 1:
+        raise RequestError(
+            f"machines/gpus must be >= 1, got {machines}/{gpus}"
+        )
+    factory = nvlink_100g_cluster if testbed == "nvlink" else pcie_25g_cluster
+    return factory(num_machines=int(machines), gpus_per_machine=int(gpus))
+
+
+def _from_wire(cls, data: dict):
+    """``from_dict`` of both request classes: parse a wire dict into
+    ``cls``, rejecting unknown keys, with every failure a one-line
+    :class:`RequestError`."""
+    if not isinstance(data, dict):
+        raise RequestError(
+            f"{cls.NOUN} request must be a JSON object, "
+            f"got {type(data).__name__}"
+        )
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - known - {"op"})
+    if unknown:
+        raise RequestError(
+            f"{cls.NOUN} request has unknown key(s) "
+            f"{', '.join(map(repr, unknown))}"
+        )
+    kwargs = {k: v for k, v in data.items() if k in known}
+    try:
+        return cls(**kwargs)
+    except TypeError as error:
+        raise RequestError(f"bad {cls.NOUN} request: {error}") from None
 
 
 @dataclass(frozen=True)
@@ -102,6 +143,9 @@ class PlanRequest:
     ratios: Optional[List[float]] = None
     error_budget: Optional[float] = None
 
+    #: The request's name in one-line diagnostics.
+    NOUN: ClassVar[str] = "plan"
+
     def build_job(self) -> JobConfig:
         """The :class:`~repro.config.JobConfig` this request describes.
 
@@ -126,24 +170,8 @@ class PlanRequest:
             if self.system_config is not None:
                 cluster = cluster_from_dict(self.system_config)
             else:
-                if self.testbed not in TESTBEDS:
-                    raise RequestError(
-                        f"unknown testbed {self.testbed!r}; "
-                        f"expected one of {TESTBEDS}"
-                    )
-                factory = (
-                    nvlink_100g_cluster
-                    if self.testbed == "nvlink"
-                    else pcie_25g_cluster
-                )
-                if self.machines < 1 or self.gpus < 1:
-                    raise RequestError(
-                        f"machines/gpus must be >= 1, got "
-                        f"{self.machines}/{self.gpus}"
-                    )
-                cluster = factory(
-                    num_machines=int(self.machines),
-                    gpus_per_machine=int(self.gpus),
+                cluster = preset_cluster(
+                    self.testbed, self.machines, self.gpus
                 )
             if self.ratios is not None:
                 for entry in self.ratios:
@@ -166,18 +194,19 @@ class PlanRequest:
         except RequestError:
             raise
         except (KeyError, TypeError, ValueError) as error:
-            raise RequestError(f"bad plan request: {error}") from None
+            raise RequestError(f"bad {self.NOUN} request: {error}") from None
 
-    def fingerprint(self) -> str:
+    def fingerprint(self, job: Optional[JobConfig] = None) -> str:
         """Canonical job fingerprint (cache/dedup key).
 
         Hashes the serialized job, so spelling differences that describe
         the same job collapse to one key.  The ratio-ladder knobs join
         the key when set: a laddered plan must never be served from a
-        fixed-ratio cache entry or vice versa.
+        fixed-ratio cache entry or vice versa.  ``job`` is this
+        request's :meth:`build_job` result when the caller has it.
         """
         return job_fingerprint(
-            self.build_job(),
+            self.build_job() if job is None else job,
             ratios=self.ratios,
             error_budget=self.error_budget,
         )
@@ -190,24 +219,7 @@ class PlanRequest:
         data = dataclasses.asdict(self)
         return {k: v for k, v in data.items() if v not in (None, {}, "")}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlanRequest":
-        if not isinstance(data, dict):
-            raise RequestError(
-                f"plan request must be a JSON object, got {type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known - {"op"})
-        if unknown:
-            raise RequestError(
-                f"plan request has unknown key(s) "
-                f"{', '.join(map(repr, unknown))}"
-            )
-        kwargs = {k: v for k, v in data.items() if k in known}
-        try:
-            return cls(**kwargs)
-        except TypeError as error:
-            raise RequestError(f"bad plan request: {error}") from None
+    from_dict = classmethod(_from_wire)
 
 
 def _digest(payload: dict) -> str:
@@ -245,6 +257,8 @@ class FleetRequest:
     deadline_s: Optional[float] = None
     request_id: str = ""
 
+    NOUN: ClassVar[str] = "fleet"
+
     def build_fleet(self):
         """The :class:`~repro.cluster.tenancy.FleetSpec` this describes.
 
@@ -257,24 +271,8 @@ class FleetRequest:
             if self.system_config is not None:
                 cluster = cluster_from_dict(self.system_config)
             else:
-                if self.testbed not in TESTBEDS:
-                    raise RequestError(
-                        f"unknown testbed {self.testbed!r}; "
-                        f"expected one of {TESTBEDS}"
-                    )
-                if self.machines < 1 or self.gpus < 1:
-                    raise RequestError(
-                        f"machines/gpus must be >= 1, got "
-                        f"{self.machines}/{self.gpus}"
-                    )
-                factory = (
-                    nvlink_100g_cluster
-                    if self.testbed == "nvlink"
-                    else pcie_25g_cluster
-                )
-                cluster = factory(
-                    num_machines=int(self.machines),
-                    gpus_per_machine=int(self.gpus),
+                cluster = preset_cluster(
+                    self.testbed, self.machines, self.gpus
                 )
             if not isinstance(self.tenants, list) or not self.tenants:
                 raise RequestError(
@@ -296,11 +294,13 @@ class FleetRequest:
         except RequestError:
             raise
         except (KeyError, TypeError, ValueError) as error:
-            raise RequestError(f"bad fleet request: {error}") from None
+            raise RequestError(f"bad {self.NOUN} request: {error}") from None
 
-    def fingerprint(self) -> str:
-        """Canonical fingerprint over every tenant job + the cluster."""
-        fleet = self.build_fleet()
+    def fingerprint(self, fleet=None) -> str:
+        """Canonical fingerprint over every tenant job + the cluster;
+        ``fleet`` is this request's :meth:`build_fleet` result when the
+        caller has it."""
+        fleet = self.build_fleet() if fleet is None else fleet
         return _digest(
             {
                 "cluster": cluster_to_dict(fleet.cluster),
@@ -312,25 +312,7 @@ class FleetRequest:
             }
         )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetRequest":
-        if not isinstance(data, dict):
-            raise RequestError(
-                f"fleet request must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known - {"op"})
-        if unknown:
-            raise RequestError(
-                f"fleet request has unknown key(s) "
-                f"{', '.join(map(repr, unknown))}"
-            )
-        kwargs = {k: v for k, v in data.items() if k in known}
-        try:
-            return cls(**kwargs)
-        except TypeError as error:
-            raise RequestError(f"bad fleet request: {error}") from None
+    from_dict = classmethod(_from_wire)
 
 
 @dataclass(frozen=True)
@@ -526,5 +508,6 @@ __all__ = [
     "encode_message",
     "family_key",
     "job_fingerprint",
+    "preset_cluster",
     "strategy_digest",
 ]

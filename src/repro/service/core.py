@@ -136,6 +136,10 @@ class StrategyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, fingerprint: str) -> bool:
+        """Membership without touching the hit/miss accounting."""
+        return fingerprint in self._entries
+
     def get(self, fingerprint: str) -> Optional[CacheEntry]:
         entry = self._entries.get(fingerprint)
         if entry is None:
@@ -281,6 +285,7 @@ class PlanningCore:
             result.strategy,
             result.iteration_time,
             result.baseline_iteration_time,
+            fingerprint=request.fingerprint(job),
         )
 
     def plan_fleet_request(

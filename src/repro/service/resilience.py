@@ -72,8 +72,10 @@ class Deadline:
         budget_s: Optional[float],
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget_s is not None and budget_s <= 0:
-            raise ValueError(f"deadline budget must be > 0, got {budget_s}")
+        if budget_s is not None and not (
+            isinstance(budget_s, (int, float)) and budget_s > 0
+        ):
+            raise ValueError(f"deadline budget must be > 0, got {budget_s!r}")
         self.budget_s = budget_s
         self._clock = clock
         self.started = clock()

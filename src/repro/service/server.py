@@ -1,9 +1,12 @@
 """The asyncio planning server (``repro serve``, DESIGN.md §5.9).
 
-Request lifecycle::
+Request lifecycle, shared by the ``plan`` and ``fleet`` ops::
 
-    connection -> decode frame -> admission control -> bounded queue
-      -> worker -> exact-cache lookup
+    connection -> decode frame
+      -> admission: parse -> drain gate -> deadline -> build job + key
+                 -> exact-cache hit (answered here, never queued)
+                 -> saturation gate -> bounded queue
+      -> worker -> exact-cache re-check -> queue-expiry check
                 -> circuit breaker gate
                 -> plan attempt (executor thread, cooperative deadline)
                      -> retry w/ backoff on evaluator death
@@ -30,11 +33,10 @@ Ops (JSON-lines; any object without an ``op`` is a plan request):
 
 * ``{"op": "plan", ...PlanRequest fields}`` -> PlanResponse
 * ``{"op": "fleet", ...FleetRequest fields}`` -> FleetResponse: the
-  joint multi-tenant planner behind the same admission control, queue,
-  deadline, breaker, and retry machinery; its degraded rung is the
-  per-tenant heuristic fleet (no exact cache — a fleet answer depends
-  on every tenant, so plan-cache reuse happens inside the planner, not
-  at the response layer)
+  joint multi-tenant planner through the same lifecycle; its degraded
+  rung is the per-tenant heuristic fleet (no exact cache — a fleet
+  answer depends on every tenant, so plan-cache reuse happens inside
+  the planner, not at the response layer)
 * ``{"op": "health"}`` -> readiness + breaker/cache/queue snapshot,
   answered immediately (never queued behind planning work)
 * ``{"op": "stats"}`` -> full counter dump
@@ -51,7 +53,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.service.api import (
     FleetRequest,
@@ -66,7 +68,6 @@ from repro.service.api import (
     decode_message,
     encode_message,
     family_key,
-    job_fingerprint,
     strategy_digest,
 )
 from repro.service.core import (
@@ -142,6 +143,141 @@ class ServiceStats:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
+
+
+@dataclass(frozen=True)
+class _Op:
+    """What differs between the two planning ops (``plan``, ``fleet``).
+
+    :class:`PlanningServer` runs one lifecycle for both and never
+    branches on the op; it calls these instead.  The callables reach
+    ``build_job`` and ``StrategyCache.get`` by attribute at call time,
+    and the lifecycle looks ``core_method`` up on the server's core per
+    attempt, so wrappers installed on those classes after import (the
+    benchmark's span tracer) still see every call.
+    """
+
+    request_cls: type
+    response_cls: type
+    #: The PlanningCore method that plans one request.
+    core_method: str
+    #: request -> its planning input (``_Ticket.spec``).
+    build: Callable
+    #: (cache, ticket) -> the exact cached answer, or None.
+    hit: Callable
+    #: (cache, fresh answer) -> None.
+    keep: Callable
+    #: (cache, ticket) -> a stale answer for the ladder, or None.
+    stale: Callable
+    #: ticket -> the heuristic answer (runs on the fallback executor).
+    heuristic: Callable
+    #: (ticket, answer) -> the op's own response fields.
+    fields: Callable
+
+    def reply(
+        self,
+        request_id: str,
+        status: str,
+        reason: str,
+        elapsed_s: float = 0.0,
+    ) -> dict:
+        """A response without a plan: an error or a refusal."""
+        return self.response_cls(
+            request_id=request_id,
+            status=status,
+            reason=reason,
+            elapsed_s=elapsed_s,
+        ).to_dict()
+
+
+@dataclass(frozen=True)
+class _Ticket:
+    """One admitted planning request, built once at admission."""
+
+    op: _Op
+    request: object  # PlanRequest or FleetRequest
+    spec: object  # what ``op.build`` made: a JobConfig or a FleetSpec
+    key: str  # request.fingerprint(spec)
+    deadline: Deadline
+
+
+def _heuristic_entry(ticket: _Ticket) -> CacheEntry:
+    # Deliberately NOT cached: a heuristic plan must never be
+    # mistaken for the planner's answer on a later exact hit.
+    return make_entry(
+        ticket.spec, *heuristic_plan(ticket.spec), fingerprint=ticket.key
+    )
+
+
+def _plan_fields(ticket: _Ticket, entry: CacheEntry) -> dict:
+    return dict(
+        fingerprint=entry.fingerprint,
+        model=entry.model_name,
+        iteration_time=entry.iteration_time,
+        baseline_iteration_time=entry.baseline_iteration_time,
+        strategy_digest=entry.digest,
+        options=entry.options_text,
+        compressed_tensors=entry.compressed_tensors,
+        num_tensors=entry.num_tensors,
+    )
+
+
+def _fleet_fields(ticket: _Ticket, result) -> dict:
+    return dict(
+        fingerprint=ticket.key,
+        mode=result.mode,
+        converged=result.converged,
+        oscillated=result.oscillated,
+        rounds=result.rounds,
+        aggregate_throughput=result.aggregate_throughput,
+        selfish_aggregate_throughput=result.selfish_aggregate_throughput,
+        worst_slowdown=result.worst_slowdown,
+        tenants=tuple(
+            {
+                "name": plan.name,
+                "model": plan.model,
+                "source": plan.source,
+                "iteration_time": plan.contended_time,
+                "nominal_time": plan.nominal_time,
+                "slowdown": plan.slowdown,
+                "throughput": plan.throughput,
+                "strategy_digest": strategy_digest(plan.strategy),
+                "contention": plan.contention.describe(),
+            }
+            for plan in result.tenants
+        ),
+        parallel_disabled_reason=result.parallel_disabled_reason,
+        timelines_checked=result.timelines_checked,
+    )
+
+
+_OPS = {
+    "plan": _Op(
+        request_cls=PlanRequest,
+        response_cls=PlanResponse,
+        core_method="plan_request",
+        build=lambda request: request.build_job(),
+        hit=lambda cache, ticket: cache.get(ticket.key),
+        keep=lambda cache, entry: cache.put(entry),
+        stale=lambda cache, ticket: cache.get_stale(family_key(ticket.spec)),
+        heuristic=_heuristic_entry,
+        fields=_plan_fields,
+    ),
+    # A fleet answer couples every tenant, so fleets skip the strategy
+    # cache (plan reuse happens inside the planner); the degraded rung
+    # is the per-tenant heuristic fleet.
+    "fleet": _Op(
+        request_cls=FleetRequest,
+        response_cls=FleetResponse,
+        core_method="plan_fleet_request",
+        build=lambda request: request.build_fleet(),
+        hit=lambda cache, ticket: None,
+        keep=lambda cache, result: None,
+        stale=lambda cache, ticket: None,
+        heuristic=lambda ticket: heuristic_fleet(ticket.spec),
+        fields=_fleet_fields,
+    ),
+}
 
 
 class PlanningServer:
@@ -325,10 +461,8 @@ class PlanningServer:
         if op == "drain":
             self.request_drain("drain op received")
             return {"op": "drain", "status": "draining"}
-        if op == "plan":
+        if isinstance(op, str) and op in _OPS:  # a wire op may not hash
             return await self.submit(message)
-        if op == "fleet":
-            return await self.submit_fleet(message)
         self.stats.errors += 1
         return PlanResponse(
             status="error", reason=f"unknown op {op!r}"
@@ -359,36 +493,27 @@ class PlanningServer:
             "cache": self.cache.stats(),
         }
 
-    # -- admission + planning pipeline --------------------------------
+    # -- admission + planning lifecycle -------------------------------
 
     async def submit(self, message: dict) -> dict:
-        """Admission control: parse, gate, queue, await the answer."""
+        """Admission: parse, drain gate, deadline, build the job and its
+        key, answer an exact-cache hit, saturation gate, queue."""
+        op = _OPS[message.get("op", "plan")]
         self.stats.received += 1
         request_id = str(message.get("request_id", ""))
         try:
-            request = PlanRequest.from_dict(message)
+            request = op.request_cls.from_dict(message)
         except RequestError as error:
             self.stats.errors += 1
-            return PlanResponse(
-                request_id=request_id, status="error", reason=str(error)
-            ).to_dict()
+            return op.reply(request_id, "error", str(error))
         if self.draining:
             self.stats.rejected_draining += 1
-            return PlanResponse(
-                request_id=request.request_id,
-                status="rejected",
-                reason=f"draining ({self.drain_reason}): "
-                f"refusing new plan requests",
-            ).to_dict()
-        if self.queue.full():
-            self.stats.rejected_saturated += 1
-            return PlanResponse(
-                request_id=request.request_id,
-                status="rejected",
-                reason=f"admission control: queue saturated "
-                f"({self.queue.qsize()} queued, limit "
-                f"{self.config.queue_limit}); retry later",
-            ).to_dict()
+            return op.reply(
+                request.request_id,
+                "rejected",
+                f"draining ({self.drain_reason}): "
+                f"refusing new {op.request_cls.NOUN} requests",
+            )
         budget = (
             request.deadline_s
             if request.deadline_s is not None
@@ -398,59 +523,33 @@ class PlanningServer:
             deadline = Deadline(budget)
         except ValueError as error:
             self.stats.errors += 1
-            return PlanResponse(
-                request_id=request.request_id,
-                status="error",
-                reason=str(error),
-            ).to_dict()
-        future = asyncio.get_running_loop().create_future()
-        self.queue.put_nowait((request, deadline, future))
-        return await future
-
-    async def submit_fleet(self, message: dict) -> dict:
-        """Admission control for ``op: "fleet"`` — same gates as plans."""
-        self.stats.received += 1
-        request_id = str(message.get("request_id", ""))
+            return op.reply(request.request_id, "error", str(error))
         try:
-            request = FleetRequest.from_dict(message)
+            spec = op.build(request)
+            ticket = _Ticket(
+                op, request, spec, request.fingerprint(spec), deadline
+            )
         except RequestError as error:
             self.stats.errors += 1
-            return FleetResponse(
-                request_id=request_id, status="error", reason=str(error)
-            ).to_dict()
-        if self.draining:
-            self.stats.rejected_draining += 1
-            return FleetResponse(
-                request_id=request.request_id,
-                status="rejected",
-                reason=f"draining ({self.drain_reason}): "
-                f"refusing new fleet requests",
-            ).to_dict()
+            return op.reply(
+                request.request_id, "error", str(error), deadline.elapsed()
+            )
+        # A hit is the plan a fresh run would select, so it is answered
+        # here, ahead of queued fresh plans and even when the queue is
+        # full.  A miss is counted once, by the lookup at dequeue.
+        if ticket.key in self.cache:
+            return self._cache_hit(ticket)
         if self.queue.full():
             self.stats.rejected_saturated += 1
-            return FleetResponse(
-                request_id=request.request_id,
-                status="rejected",
-                reason=f"admission control: queue saturated "
+            return op.reply(
+                request.request_id,
+                "rejected",
+                f"admission control: queue saturated "
                 f"({self.queue.qsize()} queued, limit "
                 f"{self.config.queue_limit}); retry later",
-            ).to_dict()
-        budget = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else self.config.default_deadline_s
-        )
-        try:
-            deadline = Deadline(budget)
-        except ValueError as error:
-            self.stats.errors += 1
-            return FleetResponse(
-                request_id=request.request_id,
-                status="error",
-                reason=str(error),
-            ).to_dict()
+            )
         future = asyncio.get_running_loop().create_future()
-        self.queue.put_nowait((request, deadline, future))
+        self.queue.put_nowait((ticket, future))
         return await future
 
     async def _worker(self, index: int) -> None:
@@ -459,68 +558,55 @@ class PlanningServer:
             if item is None:
                 self.queue.task_done()
                 return
-            request, deadline, future = item
-            fleet = isinstance(request, FleetRequest)
+            ticket, future = item
             self.in_flight += 1
             try:
-                if fleet:
-                    response = await self._process_fleet(request, deadline)
-                else:
-                    response = await self._process(request, deadline)
+                response = await self._process(ticket)
             except Exception as error:  # the answer-every-request net
                 self.stats.errors += 1
-                response_cls = FleetResponse if fleet else PlanResponse
-                response = response_cls(
-                    request_id=request.request_id,
-                    status="error",
-                    reason=f"internal error: {type(error).__name__}: {error}",
-                    elapsed_s=deadline.elapsed(),
-                ).to_dict()
+                response = ticket.op.reply(
+                    ticket.request.request_id,
+                    "error",
+                    f"internal error: {type(error).__name__}: {error}",
+                    ticket.deadline.elapsed(),
+                )
             finally:
                 self.in_flight -= 1
                 self.queue.task_done()
             if not future.done():
                 future.set_result(response)
 
-    async def _process(self, request: PlanRequest, deadline: Deadline) -> dict:
-        try:
-            job = request.build_job()
-        except RequestError as error:
-            self.stats.errors += 1
-            return PlanResponse(
-                request_id=request.request_id,
-                status="error",
-                reason=str(error),
-                elapsed_s=deadline.elapsed(),
-            ).to_dict()
-        fingerprint = job_fingerprint(job)
-        family = family_key(job)
+    def _cache_hit(self, ticket: _Ticket) -> Optional[dict]:
+        """The exact-cache answer, or None (a counted lookup)."""
+        entry = ticket.op.hit(self.cache, ticket)
+        if entry is None:
+            return None
+        self.stats.cache_hits += 1
+        return self._answer(ticket, entry, SOURCE_CACHE, attempts=0)
 
-        entry = self.cache.get(fingerprint)
-        if entry is not None:
-            return self._plan_response(
-                request, entry, SOURCE_CACHE, deadline, attempts=0
-            )
-
+    async def _process(self, ticket: _Ticket) -> dict:
+        """Queue expiry, breaker gate, attempts with retry, ladder."""
+        # An identical request may have been planned while this one
+        # was queued.
+        hit = self._cache_hit(ticket)
+        if hit is not None:
+            return hit
+        deadline = ticket.deadline
         if deadline.expired():
             # Spent its whole budget queued: planning would only miss
             # harder.  Not an evaluator failure, so the breaker is not
             # charged; the ladder still answers within this turn.
             self.stats.queue_expired += 1
             return await self._degraded(
-                request,
-                family,
-                deadline,
-                reason=f"deadline of {deadline.budget_s:.3f}s expired "
+                ticket,
+                f"deadline of {deadline.budget_s:.3f}s expired "
                 f"after {deadline.elapsed():.3f}s in queue",
             )
 
         if not self.breaker.allow():
             return await self._degraded(
-                request,
-                family,
-                deadline,
-                reason=f"circuit breaker open "
+                ticket,
+                f"circuit breaker open "
                 f"({self.breaker.consecutive_failures} consecutive "
                 f"failures); planner bypassed",
             )
@@ -530,10 +616,10 @@ class PlanningServer:
             attempts += 1
             token = CancelToken(deadline)
             try:
-                entry = await asyncio.get_running_loop().run_in_executor(
+                answer = await asyncio.get_running_loop().run_in_executor(
                     self._executor,
-                    self._plan_sync,
-                    request,
+                    self._attempt,
+                    ticket,
                     token,
                     attempts - 1,
                 )
@@ -542,10 +628,8 @@ class PlanningServer:
                 self.breaker.record_failure()
                 if self.breaker.state == OPEN:
                     return await self._degraded(
-                        request,
-                        family,
-                        deadline,
-                        reason=f"circuit breaker opened after evaluator "
+                        ticket,
+                        f"circuit breaker opened after evaluator "
                         f"failure: {error}",
                     )
                 delay = self.config.retry.delay(attempts)
@@ -554,10 +638,8 @@ class PlanningServer:
                     or deadline.remaining() <= delay
                 ):
                     return await self._degraded(
-                        request,
-                        family,
-                        deadline,
-                        reason=f"evaluator failed {attempts}x "
+                        ticket,
+                        f"evaluator failed {attempts}x "
                         f"(last: {error}); retries exhausted",
                     )
                 self.stats.retries += 1
@@ -566,23 +648,25 @@ class PlanningServer:
             except (DeadlineExceeded, RequestCancelled) as error:
                 self.stats.deadline_misses += 1
                 self.breaker.record_failure()
-                return await self._degraded(
-                    request, family, deadline, reason=str(error)
-                )
+                return await self._degraded(ticket, str(error))
+            except Exception:
+                # Any other planner failure is charged too, so that a
+                # half-open probe never stays in flight; the worker's
+                # net answers the request.
+                self.breaker.record_failure()
+                raise
             self.breaker.record_success()
-            self.cache.put(entry)
+            ticket.op.keep(self.cache, answer)
             self.stats.fresh += 1
-            return self._plan_response(
-                request, entry, SOURCE_FRESH, deadline, attempts=attempts
+            return self._answer(
+                ticket, answer, SOURCE_FRESH, attempts=attempts
             )
 
-    def _plan_sync(
-        self, request: PlanRequest, token: CancelToken, attempt: int
-    ) -> CacheEntry:
+    def _attempt(self, ticket: _Ticket, token: CancelToken, attempt: int):
         """One planning attempt on an executor thread (chaos applies)."""
         chaos = self.config.chaos
         if chaos is not None and chaos.active:
-            action = chaos.action(request.request_id, attempt)
+            action = chaos.action(ticket.request.request_id, attempt)
             if action == KILL:
                 raise EvaluatorWorkerError(
                     f"injected evaluator kill (chaos, attempt {attempt})"
@@ -590,200 +674,8 @@ class PlanningServer:
             if action == SLOW:
                 self._chaos_sleep(chaos.slow_seconds, token)
         token.check()
-        return self.core.plan_request(request, cancel_check=token.check)
-
-    async def _process_fleet(
-        self, request: FleetRequest, deadline: Deadline
-    ) -> dict:
-        """The fleet twin of :meth:`_process`: same gates, same ladder
-        shape.  No exact-cache rung (a fleet answer couples every
-        tenant); the degraded rung is the per-tenant heuristic fleet."""
-        try:
-            fingerprint = request.fingerprint()  # also validates
-        except RequestError as error:
-            self.stats.errors += 1
-            return FleetResponse(
-                request_id=request.request_id,
-                status="error",
-                reason=str(error),
-                elapsed_s=deadline.elapsed(),
-            ).to_dict()
-
-        if deadline.expired():
-            # Spent its whole budget queued: not an evaluator failure,
-            # so the breaker is not charged.
-            self.stats.queue_expired += 1
-            return await self._degraded_fleet(
-                request,
-                fingerprint,
-                deadline,
-                reason=f"deadline of {deadline.budget_s:.3f}s expired "
-                f"after {deadline.elapsed():.3f}s in queue",
-            )
-
-        if not self.breaker.allow():
-            return await self._degraded_fleet(
-                request,
-                fingerprint,
-                deadline,
-                reason=f"circuit breaker open "
-                f"({self.breaker.consecutive_failures} consecutive "
-                f"failures); planner bypassed",
-            )
-
-        attempts = 0
-        while True:
-            attempts += 1
-            token = CancelToken(deadline)
-            try:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    self._fleet_sync,
-                    request,
-                    token,
-                    attempts - 1,
-                )
-            except EvaluatorWorkerError as error:
-                self.stats.worker_failures += 1
-                self.breaker.record_failure()
-                if self.breaker.state == OPEN:
-                    return await self._degraded_fleet(
-                        request,
-                        fingerprint,
-                        deadline,
-                        reason=f"circuit breaker opened after evaluator "
-                        f"failure: {error}",
-                    )
-                delay = self.config.retry.delay(attempts)
-                if (
-                    attempts > self.config.retry.max_retries
-                    or deadline.remaining() <= delay
-                ):
-                    return await self._degraded_fleet(
-                        request,
-                        fingerprint,
-                        deadline,
-                        reason=f"evaluator failed {attempts}x "
-                        f"(last: {error}); retries exhausted",
-                    )
-                self.stats.retries += 1
-                await asyncio.sleep(delay)
-                continue
-            except (DeadlineExceeded, RequestCancelled) as error:
-                self.stats.deadline_misses += 1
-                self.breaker.record_failure()
-                return await self._degraded_fleet(
-                    request, fingerprint, deadline, reason=str(error)
-                )
-            self.breaker.record_success()
-            self.stats.fresh += 1
-            return self._fleet_response(
-                request,
-                result,
-                fingerprint,
-                SOURCE_FRESH,
-                deadline,
-                attempts=attempts,
-            )
-
-    def _fleet_sync(
-        self, request: FleetRequest, token: CancelToken, attempt: int
-    ):
-        """One fleet-planning attempt on an executor thread."""
-        chaos = self.config.chaos
-        if chaos is not None and chaos.active:
-            action = chaos.action(request.request_id, attempt)
-            if action == KILL:
-                raise EvaluatorWorkerError(
-                    f"injected evaluator kill (chaos, attempt {attempt})"
-                )
-            if action == SLOW:
-                self._chaos_sleep(chaos.slow_seconds, token)
-        token.check()
-        return self.core.plan_fleet_request(
-            request, cancel_check=token.check
-        )
-
-    async def _degraded_fleet(
-        self,
-        request: FleetRequest,
-        fingerprint: str,
-        deadline: Deadline,
-        reason: str,
-    ) -> dict:
-        """Degraded fleet rung: per-tenant heuristic plans, fairly
-        priced under their own contention, on the fallback executor."""
-        try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                self._fallback_executor,
-                lambda: heuristic_fleet(request.build_fleet()),
-            )
-        except Exception as error:
-            self.stats.refused += 1
-            return FleetResponse(
-                request_id=request.request_id,
-                status="rejected",
-                reason=f"{reason}; heuristic fallback also failed: {error}",
-                elapsed_s=deadline.elapsed(),
-            ).to_dict()
-        self.stats.degraded += 1
-        self.stats.heuristic_serves += 1
-        return self._fleet_response(
-            request,
-            result,
-            fingerprint,
-            SOURCE_HEURISTIC,
-            deadline,
-            degraded=True,
-            reason=reason,
-        )
-
-    def _fleet_response(
-        self,
-        request: FleetRequest,
-        result,
-        fingerprint: str,
-        source: str,
-        deadline: Deadline,
-        degraded: bool = False,
-        reason: Optional[str] = None,
-        attempts: int = 1,
-    ) -> dict:
-        self.stats.served += 1
-        tenants = tuple(
-            {
-                "name": plan.name,
-                "model": plan.model,
-                "source": plan.source,
-                "iteration_time": plan.contended_time,
-                "nominal_time": plan.nominal_time,
-                "slowdown": plan.slowdown,
-                "throughput": plan.throughput,
-                "strategy_digest": strategy_digest(plan.strategy),
-                "contention": plan.contention.describe(),
-            }
-            for plan in result.tenants
-        )
-        return FleetResponse(
-            request_id=request.request_id,
-            status="ok",
-            reason=reason,
-            source=source,
-            degraded=degraded,
-            fingerprint=fingerprint,
-            mode=result.mode,
-            converged=result.converged,
-            oscillated=result.oscillated,
-            rounds=result.rounds,
-            aggregate_throughput=result.aggregate_throughput,
-            selfish_aggregate_throughput=result.selfish_aggregate_throughput,
-            worst_slowdown=result.worst_slowdown,
-            tenants=tenants,
-            parallel_disabled_reason=result.parallel_disabled_reason,
-            timelines_checked=result.timelines_checked,
-            attempts=attempts,
-            elapsed_s=deadline.elapsed(),
-        ).to_dict()
+        plan = getattr(self.core, ticket.op.core_method)
+        return plan(ticket.request, cancel_check=token.check)
 
     @staticmethod
     def _chaos_sleep(seconds: float, token: CancelToken) -> None:
@@ -796,85 +688,52 @@ class PlanningServer:
                 return
             time.sleep(min(0.02, left))
 
-    async def _degraded(
-        self,
-        request: PlanRequest,
-        family: str,
-        deadline: Deadline,
-        reason: str,
-    ) -> dict:
+    async def _degraded(self, ticket: _Ticket, reason: str) -> dict:
         """The degradation ladder: stale plan -> heuristic -> refusal."""
-        stale = self.cache.get_stale(family)
+        stale = ticket.op.stale(self.cache, ticket)
         if stale is not None:
             self.stats.degraded += 1
             self.stats.stale_serves += 1
-            return self._plan_response(
-                request,
-                stale,
-                SOURCE_STALE_CACHE,
-                deadline,
-                degraded=True,
-                reason=reason,
+            return self._answer(
+                ticket, stale, SOURCE_STALE_CACHE, degraded=True, reason=reason
             )
         try:
-            entry = await asyncio.get_running_loop().run_in_executor(
-                self._fallback_executor, self._heuristic_entry, request
+            answer = await asyncio.get_running_loop().run_in_executor(
+                self._fallback_executor, ticket.op.heuristic, ticket
             )
         except Exception as error:
             self.stats.refused += 1
-            return PlanResponse(
-                request_id=request.request_id,
-                status="rejected",
-                reason=f"{reason}; heuristic fallback also failed: {error}",
-                elapsed_s=deadline.elapsed(),
-            ).to_dict()
+            return ticket.op.reply(
+                ticket.request.request_id,
+                "rejected",
+                f"{reason}; heuristic fallback also failed: {error}",
+                ticket.deadline.elapsed(),
+            )
         self.stats.degraded += 1
         self.stats.heuristic_serves += 1
-        return self._plan_response(
-            request,
-            entry,
-            SOURCE_HEURISTIC,
-            deadline,
-            degraded=True,
-            reason=reason,
+        return self._answer(
+            ticket, answer, SOURCE_HEURISTIC, degraded=True, reason=reason
         )
 
-    def _heuristic_entry(self, request: PlanRequest) -> CacheEntry:
-        job = request.build_job()
-        strategy, iteration_time, baseline_time = heuristic_plan(job)
-        # Deliberately NOT cached: a heuristic plan must never be
-        # mistaken for the planner's answer on a later exact hit.
-        return make_entry(job, strategy, iteration_time, baseline_time)
-
-    def _plan_response(
+    def _answer(
         self,
-        request: PlanRequest,
-        entry: CacheEntry,
+        ticket: _Ticket,
+        answer,
         source: str,
-        deadline: Deadline,
         degraded: bool = False,
         reason: Optional[str] = None,
         attempts: int = 1,
     ) -> dict:
         self.stats.served += 1
-        if source == SOURCE_CACHE:
-            self.stats.cache_hits += 1
-        return PlanResponse(
-            request_id=request.request_id,
+        return ticket.op.response_cls(
+            request_id=ticket.request.request_id,
             status="ok",
             reason=reason,
             source=source,
             degraded=degraded,
-            fingerprint=entry.fingerprint,
-            model=entry.model_name,
-            iteration_time=entry.iteration_time,
-            baseline_iteration_time=entry.baseline_iteration_time,
-            strategy_digest=entry.digest,
-            options=entry.options_text,
-            compressed_tensors=entry.compressed_tensors,
-            num_tensors=entry.num_tensors,
             attempts=attempts,
-            elapsed_s=deadline.elapsed(),
+            elapsed_s=ticket.deadline.elapsed(),
+            **ticket.op.fields(ticket, answer),
         ).to_dict()
 
 

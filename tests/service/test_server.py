@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.core import Espresso
+from repro.core.options import DEFAULT_RATIO_LADDER
 from repro.service.api import PlanRequest, strategy_digest
 from repro.service.resilience import ChaosSchedule, OPEN, RetryPolicy
 from repro.service.server import PlanningServer, ServerConfig
@@ -55,6 +56,71 @@ def test_fresh_then_cached_and_bit_identical():
     direct = Espresso(request.build_job()).select_strategy()
     assert first["strategy_digest"] == strategy_digest(direct.strategy)
     assert first["iteration_time"] == direct.iteration_time
+
+
+def test_cache_keys_cover_the_ratio_ladder_and_error_budget():
+    # lstm dgc on 2x2 is a job whose laddered plan differs from the
+    # fixed-ratio one, so a key without the knobs serves a wrong plan.
+    variants = [{}, {"ratios": list(DEFAULT_RATIO_LADDER)},
+                {"error_budget": 0.5}]
+
+    async def scenario():
+        server = make_server()
+        await server.start()
+        first = [await server.dispatch(plan_msg(f"first-{i}", **knobs))
+                 for i, knobs in enumerate(variants)]
+        again = [await server.dispatch(plan_msg(f"again-{i}", **knobs))
+                 for i, knobs in enumerate(variants)]
+        await drain(server)
+        return first, again
+
+    first, again = asyncio.run(scenario())
+    assert first[1]["strategy_digest"] != first[0]["strategy_digest"]
+    job = PlanRequest.from_dict(plan_msg("x")).build_job()
+    for knobs, fresh, hit in zip(variants, first, again):
+        assert fresh["source"] == "fresh", knobs
+        direct = Espresso(
+            job,
+            ratios=knobs.get("ratios"),
+            error_budget=knobs.get("error_budget"),
+        ).select_strategy()
+        assert fresh["strategy_digest"] == strategy_digest(direct.strategy)
+        assert fresh["iteration_time"] == direct.iteration_time
+        assert fresh["fingerprint"] == PlanRequest.from_dict(
+            plan_msg("x", **knobs)
+        ).fingerprint()
+        # Each repeat hits its own entry.
+        assert hit["source"] == "cache", knobs
+        assert hit["fingerprint"] == fresh["fingerprint"]
+        assert hit["strategy_digest"] == fresh["strategy_digest"]
+
+
+def test_cache_hit_is_answered_while_a_fresh_plan_runs():
+    async def scenario():
+        # One worker, every planner attempt stalled 0.5 s: a hit that
+        # queued behind the fresh plan would wait for it.
+        server = make_server(
+            workers=1,
+            chaos=ChaosSchedule(seed=0, slow_rate=1.0, slow_seconds=0.5),
+        )
+        await server.start()
+        warm = await server.dispatch(plan_msg("a-warm"))
+        fresh = asyncio.ensure_future(
+            server.dispatch(plan_msg("b", gpus=4))
+        )
+        await asyncio.sleep(0.05)
+        hit = await server.dispatch(plan_msg("a-again"))
+        fresh_done_at_hit = fresh.done()
+        fresh = await fresh
+        await drain(server)
+        return warm, hit, fresh_done_at_hit, fresh
+
+    warm, hit, fresh_done_at_hit, fresh = asyncio.run(scenario())
+    assert warm["source"] == "fresh"
+    assert hit["source"] == "cache"
+    assert hit["strategy_digest"] == warm["strategy_digest"]
+    assert not fresh_done_at_hit
+    assert fresh["source"] == "fresh"
 
 
 def test_tcp_wire_end_to_end():
@@ -205,6 +271,48 @@ def test_breaker_opens_then_probe_recovers():
     assert probes == 1
 
 
+def test_unexpected_planner_error_does_not_wedge_the_breaker():
+    async def scenario():
+        server = make_server(
+            chaos=ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=99),
+            retry=RetryPolicy(max_retries=0, backoff_base=0.01),
+            breaker_threshold=1,
+            breaker_cooldown_s=0.0,
+        )
+        await server.start()
+        opened = await server.dispatch(plan_msg("a"))
+        opened_state = server.breaker.state
+        # Heal the chaos, but make the half-open probe's planner call
+        # raise something that is neither a worker death nor a deadline.
+        server.config = dataclasses.replace(server.config, chaos=None)
+        real = server.core.plan_request
+        raised = []
+
+        def plan_request(request, cancel_check=None):
+            if not raised:
+                raised.append(request.request_id)
+                raise RuntimeError("planner bug")
+            return real(request, cancel_check=cancel_check)
+
+        server.core.plan_request = plan_request
+        probe = await server.dispatch(plan_msg("b"))
+        after = await server.dispatch(plan_msg("c", gpus=4))
+        state = server.breaker.state
+        await drain(server)
+        return opened, opened_state, probe, raised, after, state
+
+    opened, opened_state, probe, raised, after, state = asyncio.run(
+        scenario()
+    )
+    assert opened["degraded"] and opened_state == OPEN
+    assert raised == ["b"]
+    assert probe["status"] == "error"
+    assert "internal error: RuntimeError: planner bug" in probe["reason"]
+    assert after["status"] == "ok" and after["source"] == "fresh"
+    assert not after["degraded"]
+    assert state == "closed"
+
+
 def test_saturated_queue_fast_fails_with_diagnostic():
     async def scenario():
         # One worker stuck in a 0.5s stall, queue of 1: the burst's
@@ -307,6 +415,20 @@ def test_malformed_requests_get_one_line_errors():
     assert garbage["status"] == "error"
     for response in (unknown_model, unknown_key, unknown_op, garbage):
         assert "\n" not in response["reason"]
+
+
+def test_non_numeric_deadline_gets_a_one_line_error():
+    async def scenario():
+        server = make_server()
+        await server.start()
+        response = await server.dispatch(plan_msg("a", deadline_s="soon"))
+        await drain(server)
+        return response
+
+    response = asyncio.run(scenario())
+    assert response["status"] == "error"
+    assert response["request_id"] == "a"
+    assert "deadline budget must be > 0, got 'soon'" in response["reason"]
 
 
 def test_health_and_stats_report_the_pipeline():

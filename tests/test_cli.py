@@ -228,6 +228,19 @@ def test_bad_compressor_param_exits_2_before_planning(capsys):
     assert err.count("\n") == 1  # one-line diagnostic, no traceback
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--model", "lstm", "--machines", "0"],
+    ["fleet", "--tenant", "a:lstm:dgc", "--gpus", "0"],
+])
+def test_non_positive_cluster_dimensions_exit_2(argv, capsys):
+    """Preset clusters come from the service's shared builder, so a zero
+    dimension is the same one-line diagnostic in every command."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "machines/gpus" in err
+    assert err.count("\n") == 1
+
+
 # -- ratio ladder / error budget flags -------------------------------------
 
 
