@@ -5,9 +5,12 @@ paper's 8-machine NVLink testbed and writes ``BENCH_planner.json`` at
 the repo root (the perf-trajectory seed): model → {selection_ms,
 evaluations, cache_hit_rate}.  For BERT-base it additionally measures
 the before/after of the fast evaluation layer — ``fast_eval=False``
-replays every F(S) from scratch, which is what the planner did before
-the incremental engine existed — and asserts the layer's speedup while
-checking the selected strategy is bit-identical either way.
+prices every F(S) with a from-scratch run (one base run of the
+incremental simulator, no memo, no swap replay) — and asserts the
+layer's speedup while checking the selected strategy is bit-identical
+either way.  The from-scratch run is not the planner's pre-layer
+engine: it pays the incremental simulator's set-up, so ``before_ms``
+is the cost of the reference path, not a historical baseline.
 """
 
 from __future__ import annotations

@@ -94,7 +94,8 @@ EXIT_USAGE = 2
 
 
 class CLIConfigError(Exception):
-    """A config file the user pointed at cannot be used (exit code 2)."""
+    """A command-line input cannot be used: a bad flag value, or a config
+    or output path that cannot be read or written (exit code 2)."""
 
 
 def _load_config(loader: Callable, path: str, what: str):
@@ -141,6 +142,22 @@ def _build_job(args: argparse.Namespace) -> JobConfig:
     except ValueError as error:
         raise CLIConfigError(str(error)) from None
     return job
+
+
+def _check_cvar_alpha(alpha: float) -> None:
+    """Reject a ``--cvar-alpha`` outside (0, 1] before any planning."""
+    if not 0.0 < alpha <= 1.0:
+        raise CLIConfigError(f"--cvar-alpha must be in (0, 1], got {alpha}")
+
+
+def _write_output(write: Callable[[str], None], path: str) -> None:
+    """Run ``write(path)``, translating OS failures to one-line errors."""
+    try:
+        write(path)
+    except OSError as error:
+        raise CLIConfigError(
+            f"cannot write {path}: {error.strerror or error}"
+        ) from None
 
 
 def _parse_ratios(value: Optional[str]):
@@ -358,7 +375,7 @@ def cmd_plan_fusion(
             if not report.oracle_exact:
                 print("  [oracle] engine timeline != reference simulation")
             if not report.incremental_exact:
-                print("  [incremental] delta-simulator != engine timeline")
+                print("  [incremental] swap path != from-scratch makespan")
             return 1
         print("conformance: selected fused timeline checked, 0 violations")
         print()
@@ -367,7 +384,8 @@ def cmd_plan_fusion(
         _print_stats(result.result)
         print()
     if args.save:
-        save_plan(args.save, PlanArtifact.from_result(job, result))
+        artifact = PlanArtifact.from_result(job, result)
+        _write_output(lambda path: save_plan(path, artifact), args.save)
         print(f"fusion plan saved to {args.save}")
         print()
     _print_strategy_table(fjob, result.strategy)
@@ -375,6 +393,7 @@ def cmd_plan_fusion(
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    _check_cvar_alpha(args.cvar_alpha)
     if args.robust:
         return cmd_plan_robust(args)
     job = _build_job(args)
@@ -429,7 +448,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             if not report.oracle_exact:
                 print("  [oracle] engine timeline != reference simulation")
             if not report.incremental_exact:
-                print("  [incremental] delta-simulator != engine timeline")
+                print("  [incremental] swap path != from-scratch makespan")
             return 1
         print(f"conformance: {checked} timelines checked, 0 violations")
         print()
@@ -563,7 +582,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if args.jobs > 1 and disabled_reason:
         print(f"note: --jobs {args.jobs} ran serially: {disabled_reason}")
     if args.trace:
-        write_chrome_trace(reports[-1].timeline, args.trace)
+        timeline = reports[-1].timeline
+        _write_output(
+            lambda path: write_chrome_trace(timeline, path), args.trace
+        )
         print(f"Chrome trace of {reports[-1].name!r} written to {args.trace} "
               f"(open in chrome://tracing or ui.perfetto.dev)")
     if failures:
@@ -636,6 +658,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         raise CLIConfigError(
             f"--max-rounds must be >= 1, got {args.max_rounds}"
         )
+    _check_cvar_alpha(args.cvar_alpha)
     result = plan_fleet(
         fleet,
         max_rounds=args.max_rounds,

@@ -188,9 +188,6 @@ class FleetSpec:
             tenant.name: tenant.job(self.cluster) for tenant in self.tenants
         }
 
-    def with_tenants(self, tenants: Sequence[TenantSpec]) -> "FleetSpec":
-        return FleetSpec(cluster=self.cluster, tenants=tuple(tenants))
-
     def to_dict(self) -> dict:
         return {
             "cluster": cluster_to_dict(self.cluster),

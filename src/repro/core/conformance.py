@@ -1,16 +1,16 @@
 """Job-level conformance runs: invariants + differential oracle.
 
 This is the driver behind ``python -m repro validate``: for a training
-job and a set of strategies it simulates each strategy three independent
-ways — the optimized engine (:func:`repro.sim.engine.simulate`), the
-naive O(n²) reference oracle (:func:`repro.sim.oracle.
-simulate_reference`), and the incremental delta-simulator's resident
-base (:class:`repro.sim.incremental.IncrementalSimulator`) — checks the
-engine timeline against the scheduler invariants
-(:mod:`repro.sim.validate`), audits every distinct option's payload
-algebra, and reports exact-equality mismatches between the three
-simulators.  Zero violations and zero mismatches is the conformance
-bar every future perf refactor of ``sim/`` must clear.
+job and a set of strategies it compares each strategy's from-scratch run
+(:func:`repro.sim.engine.simulate`) with the naive O(n²) oracle
+(:func:`repro.sim.oracle.simulate_reference`), plus the swap path with
+the from-scratch run: every chain swapped into an :class:`~repro.sim.
+incremental.IncrementalSimulator` built on a different FP32 base, the
+path almost every planner F(S) takes.  It checks the timeline against
+the scheduler invariants (:mod:`repro.sim.validate`) and audits every
+distinct option's payload algebra.  Zero violations and zero exact-
+equality mismatches is the conformance bar every future perf refactor
+of ``sim/`` must clear.
 """
 
 from __future__ import annotations
@@ -112,11 +112,15 @@ def validate_strategy(
         reference = simulate_reference(chains, cpu_capacity=cpu_capacity)
         oracle_exact = reference == timeline
 
-    incremental = IncrementalSimulator(chains, cpu_capacity=cpu_capacity)
-    incremental_exact = (
-        incremental.base_makespan == timeline.makespan
-        and incremental.base_timeline() == timeline
-    )
+    # The swap path: the hierarchical FP32 base, or the flat one when
+    # the audited strategy compiles to the hierarchical chains.
+    base = evaluator.chains(evaluator.baseline())
+    if base == chains:
+        base = evaluator.chains(evaluator.baseline(flat=True))
+    incremental = IncrementalSimulator(base, cpu_capacity=cpu_capacity)
+    incremental_exact = incremental.swap_chains(
+        list(enumerate(chain.stages for chain in chains))
+    ) == timeline.makespan
 
     return StrategyConformance(
         name=name,

@@ -414,7 +414,7 @@ class StrategyEvaluator:
         self.evaluations = 0  # F(S) computations, reported in Table 5
         #: Cooperative-cancellation seam: when set, called at the top of
         #: every F(S) entry point (``iteration_time``,
-        #: ``iteration_time_delta``, ``price_options``).  The planning
+        #: ``iteration_time_multi``, ``price_options``).  The planning
         #: service installs a deadline check here so an in-flight
         #: selection unwinds within one evaluation of its deadline
         #: instead of running to completion; the callable signals
@@ -588,7 +588,7 @@ class StrategyEvaluator:
         self._ensure_base(base_fp, base)
         base_cfp = self._inc_cfp
         if len(replacements) == 1:
-            # GetBestOption/sweep hot path: one replaced tensor.
+            # One replaced tensor (Algorithm 2's single-offload trials).
             index, option = replacements[0]
             key = self._chain_key(index, option)
             if base_cfp[index] == key:
@@ -630,9 +630,10 @@ class StrategyEvaluator:
     ) -> List[Optional[float]]:
         """Batch F(S): ``base`` with tensor ``index`` assigned each option.
 
-        The batched analogue of calling :meth:`iteration_time_delta` per
-        option (DESIGN.md §5.7): one entry per option, every returned
-        float bit-identical to the scalar path.  Candidates compiling to
+        The planner's single-tensor F(S) path (DESIGN.md §5.7), used by
+        GetBestOption and the refinement sweeps: one entry per option,
+        every returned float bit-identical to ``iteration_time`` of the
+        trial strategy.  Candidates compiling to
         identical stage chains are simulated once, memoized trials are
         not simulated again, and each remaining candidate is one
         :meth:`IncrementalSimulator.swap_chains_flat` replay.
@@ -861,32 +862,6 @@ class StrategyEvaluator:
             self._memo[chain_fp] = makespan
         return self.model.forward_time + makespan
 
-    def iteration_time_delta(
-        self, base: CompressionStrategy, index: int, option: CompressionOption
-    ) -> float:
-        """F(S) of ``base`` with tensor ``index`` assigned ``option``.
-
-        Equivalent to ``iteration_time(base.replace(index, option))`` but
-        avoids building the trial strategy and reuses the simulation
-        prefix of ``base`` (which becomes the resident incremental base).
-        This is the hot path of GetBestOption and the refinement sweeps.
-        """
-        if self.cancel_check is not None:
-            self.cancel_check()
-        self.evaluations += 1
-        self.stats.fs_calls += 1
-        if not self.fast:
-            self.stats.full_sims += 1
-            makespan = simulate_makespan(
-                self._chains(base.replace(index, option)),
-                cpu_capacity=self._cpu_capacity,
-            )
-            return self.model.forward_time + makespan
-        makespan = self._delta_makespan(
-            base, base.fingerprint(), ((index, option),)
-        )
-        return self.model.forward_time + makespan
-
     def iteration_time_multi(
         self,
         base: CompressionStrategy,
@@ -894,11 +869,13 @@ class StrategyEvaluator:
     ) -> float:
         """F(S) of ``base`` with several tensors replaced at once.
 
-        The multi-tensor analogue of :meth:`iteration_time_delta`, used
-        by Algorithm 2's offload enumeration (each trial moves whole
-        group prefixes to the CPU).  Prefix reuse is bounded by the
-        earliest replaced tensor, but the flatten work and the memo
-        cache are still shared.
+        Equivalent to ``iteration_time`` of the strategy with the
+        replacements applied, but reuses the simulation prefix of
+        ``base`` (which becomes the resident incremental base).  Used by
+        Algorithm 2's offload enumeration (each trial moves whole group
+        prefixes to the CPU).  Prefix reuse is bounded by the earliest
+        replaced tensor, but the flatten work and the memo cache are
+        still shared.
         """
         if self.cancel_check is not None:
             self.cancel_check()

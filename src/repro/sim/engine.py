@@ -16,15 +16,20 @@ Scheduling model
 The engine is exact and deterministic: identical inputs give identical
 timelines, the property Espresso's decision algorithm relies on when it
 compares candidate strategies by simulated iteration time.
+
+This docstring is the specification.  Its one implementation is
+:class:`~repro.sim.incremental.IncrementalSimulator`, whose base run
+:func:`simulate` and :func:`simulate_makespan` wrap; :mod:`repro.sim.
+oracle` restates the model independently as the reference.
 """
 
 from __future__ import annotations
 
-import heapq
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.sim.stages import COMPUTE, CPU, GPU, RESOURCES, Stage, TensorChain
+from repro.sim.stages import TensorChain
 
 
 @dataclass(frozen=True)
@@ -70,131 +75,29 @@ class Timeline:
 
 
 def simulate_makespan(
-    chains: Sequence[TensorChain],
-    cpu_capacity: int = 1,
-    capacities: Optional[Dict[str, int]] = None,
+    chains: Sequence[TensorChain], cpu_capacity: int = 1
 ) -> float:
-    """Fast path: the makespan only, without materializing the timeline.
-
-    The decision algorithm evaluates thousands of candidate strategies
-    and needs only F(S); skipping the per-stage record construction makes
-    that loop several times faster.  Scheduling semantics are identical
-    to :func:`simulate`.
-    """
-    return _simulate(chains, cpu_capacity, capacities, collect=False)[1]
+    """:func:`simulate`'s makespan, without building the stage records."""
+    return _from_scratch(chains, cpu_capacity).base_makespan
 
 
-def simulate(
-    chains: Sequence[TensorChain],
-    cpu_capacity: int = 1,
-    capacities: Optional[Dict[str, int]] = None,
-) -> Timeline:
+def simulate(chains: Sequence[TensorChain], cpu_capacity: int = 1) -> Timeline:
     """Simulate the per-tensor stage chains and return the timeline.
 
     Args:
-        chains: one chain per tensor, in backprop completion order.
+        chains: one chain per tensor, in backprop completion order; at
+            most 1,024 stages each, tensor indices below 2**20.
         cpu_capacity: parallel workers of the CPU compression pool.
-        capacities: optional per-resource capacity overrides.
     """
-    scheduled, makespan = _simulate(chains, cpu_capacity, capacities, collect=True)
-    scheduled.sort(key=lambda s: (s.start, s.tensor_index, s.stage_index))
-    return Timeline(stages=tuple(scheduled), makespan=makespan)
+    return _from_scratch(chains, cpu_capacity).base_timeline()
 
 
-def _simulate(
-    chains: Sequence[TensorChain],
-    cpu_capacity: int,
-    capacities: Optional[Dict[str, int]],
-    collect: bool,
-):
-    if not chains:
-        raise ValueError("nothing to simulate")
-    resource_capacity = {name: 1 for name in RESOURCES}
-    resource_capacity[CPU] = max(1, cpu_capacity)
-    if capacities:
-        resource_capacity.update(capacities)
-    res_index = {name: i for i, name in enumerate(RESOURCES)}
+def _from_scratch(chains: Sequence[TensorChain], cpu_capacity: int):
+    # Imported here: the incremental module imports ScheduledStage and
+    # Timeline from this one.  Nothing will be swapped, so the stride
+    # keeps only the snapshot taken at the first instant.
+    from repro.sim.incremental import IncrementalSimulator
 
-    # Flatten tasks to integer ids; every task has at most one
-    # predecessor (the previous stage of its chain, or — for a compute
-    # stage — the previous tensor's compute stage), so readiness needs no
-    # reference counting.
-    durations: List[float] = []
-    resources: List[int] = []
-    tensors: List[int] = []
-    ks: List[int] = []
-    stage_objs: List[Stage] = []
-    next_in_chain: List[int] = []
-    compute_succ: List[int] = []
-    base: List[int] = []
-    for chain in chains:
-        base.append(len(durations))
-        n_stages = len(chain.stages)
-        for k, stage in enumerate(chain.stages):
-            durations.append(stage.duration)
-            resources.append(res_index[stage.resource])
-            tensors.append(chain.tensor_index)
-            ks.append(k)
-            stage_objs.append(stage)
-            next_in_chain.append(len(durations) if k + 1 < n_stages else -1)
-            compute_succ.append(-1)
-    for i in range(len(chains) - 1):
-        compute_succ[base[i]] = base[i + 1]
-
-    free = [resource_capacity[name] for name in RESOURCES]
-    ready: List[list] = [[] for _ in RESOURCES]
-    events: list = []
-    seq = 0
-    scheduled: List[ScheduledStage] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    def dispatch(now: float) -> None:
-        nonlocal seq
-        for r in range(len(RESOURCES)):
-            heap = ready[r]
-            while heap and free[r] > 0:
-                ready_time, tensor, k, tid = heappop(heap)
-                end = now + durations[tid]
-                free[r] -= 1
-                seq += 1
-                heappush(events, (end, seq, tid))
-                if collect:
-                    stage = stage_objs[tid]
-                    scheduled.append(
-                        ScheduledStage(
-                            tensor_index=tensor,
-                            stage_index=k,
-                            resource=stage.resource,
-                            kind=stage.kind,
-                            label=stage.label,
-                            duration=stage.duration,
-                            ready=ready_time,
-                            start=now,
-                            end=end,
-                        )
-                    )
-
-    ready[resources[0]].append((0.0, tensors[0], 0, 0))
-    dispatch(0.0)
-
-    makespan = 0.0
-    while events:
-        now = events[0][0]
-        if now > makespan:
-            makespan = now
-        # Drain every completion at this instant before dispatching, so
-        # simultaneous readiness ties resolve by (ready, tensor, stage)
-        # priority rather than by event-discovery order.
-        while events and events[0][0] == now:
-            _, _, tid = heappop(events)
-            free[resources[tid]] += 1
-            succ = next_in_chain[tid]
-            if succ >= 0:
-                heappush(ready[resources[succ]], (now, tensors[succ], ks[succ], succ))
-            succ = compute_succ[tid]
-            if succ >= 0:
-                heappush(ready[resources[succ]], (now, tensors[succ], 0, succ))
-        dispatch(now)
-
-    return scheduled, makespan
+    return IncrementalSimulator(
+        chains, cpu_capacity=cpu_capacity, checkpoint_stride=sys.maxsize
+    )

@@ -7,7 +7,7 @@ offloading all generate single- or few-tensor replacements.  Replaying
 the full discrete-event simulation from t=0 for every candidate wastes
 the prefix the trial shares with the base run.
 
-The engine's scheduling is deterministic FIFO-by-readiness (see
+The scheduling model is deterministic FIFO-by-readiness (specified in
 :mod:`repro.sim.engine`), so the trial trajectory is *identical* to the
 base trajectory up to the first instant a swapped tensor's replacement
 stages can enter a ready queue.  A chain's synchronization pipeline
@@ -20,17 +20,17 @@ the scheduler state (free workers, ready heaps, in-flight events,
 makespan) at event-batch boundaries, and prices a candidate by restoring
 the latest snapshot taken no later than the divergence instant and
 replaying only the suffix.  The replay executes the same float
-operations in the same order as a from-scratch simulation of the trial
-chains, so the returned makespan is bit-identical to
-:func:`repro.sim.engine.simulate_makespan` — the hypothesis property
-test in ``tests/sim/test_incremental.py`` proves the equivalence.
+operations in the same order as a from-scratch (base) run of the trial
+chains — which is what :func:`repro.sim.engine.simulate_makespan` is —
+so the makespans are bit-identical; ``tests/sim/test_incremental.py``
+and ``tests/sim/test_oracle.py`` check it against both.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.engine import ScheduledStage, Timeline
 from repro.sim.stages import COMM, CPU, RESOURCES, Stage, TensorChain
@@ -42,8 +42,8 @@ _Checkpoint = Tuple[List[int], List[list], list, float, int, int]
 # Heap entries are packed 2-tuples to keep the event loop cheap:
 #   ready:  (ready_time, rank)    rank = tensor << 40 | k << 30 | tid
 #   events: (end_time, seq << 30 | tid)
-# Tuple order is identical to the engine's (time, tensor, k, tid) /
-# (end, seq, tid) tuples as long as every field fits its bit budget,
+# Tuple order is the scheduling model's (time, tensor, k, tid) /
+# (end, seq, tid) order as long as every field fits its bit budget,
 # which __init__ / swap_chains validate.
 _TID_BITS = 30
 _K_BITS = 10
@@ -60,7 +60,6 @@ class IncrementalSimulator:
             completion order (same contract as :func:`~repro.sim.engine.
             simulate`).
         cpu_capacity: parallel workers of the CPU compression pool.
-        capacities: optional per-resource capacity overrides.
         checkpoint_stride: minimum completions between two snapshots;
             defaults to ``max(1, num_tasks // 128)`` so snapshot copying
             stays a small fraction of the base simulation cost while a
@@ -74,17 +73,14 @@ class IncrementalSimulator:
         self,
         chains: Sequence[TensorChain],
         cpu_capacity: int = 1,
-        capacities: Optional[Dict[str, int]] = None,
         checkpoint_stride: Optional[int] = None,
         stats=None,
     ):
         if not chains:
             raise ValueError("nothing to simulate")
-        resource_capacity = {name: 1 for name in RESOURCES}
-        resource_capacity[CPU] = max(1, cpu_capacity)
-        if capacities:
-            resource_capacity.update(capacities)
-        self._capacity = [resource_capacity[name] for name in RESOURCES]
+        self._capacity = [
+            max(1, cpu_capacity) if name == CPU else 1 for name in RESOURCES
+        ]
         if len(self._capacity) != 4:
             # The replay dispatch scan is unrolled over the four sim
             # resources (gpu, cpu, intra, inter).
@@ -92,7 +88,7 @@ class IncrementalSimulator:
         self._res_index = {name: i for i, name in enumerate(RESOURCES)}
         self.stats = stats
 
-        # Flattened task arrays, exactly as the engine builds them; the
+        # Flattened task arrays, one task per stage in chain order; the
         # base layout stays resident, swaps append scratch tasks past
         # ``_num_tasks`` to ``_durations`` and ``_post`` and truncate
         # them afterwards.
@@ -216,11 +212,11 @@ class IncrementalSimulator:
         events: list = []
         seq = 0
         ready[resources[0]].append((0.0, rank[0]))
-        # Initial dispatch at t=0 (mirrors the engine).  Event entries
-        # are ``(end, seq << _TID_BITS | tid)``: dispatch sequence
-        # numbers are unique, so the packed tie-break orders exactly
-        # like the engine's ``(end, seq, tid)`` triple while the heap
-        # moves cheaper 2-tuples.
+        # Initial dispatch at t=0.  Event entries are
+        # ``(end, seq << _TID_BITS | tid)``: dispatch sequence numbers
+        # are unique, so the packed tie-break orders exactly like an
+        # ``(end, seq, tid)`` triple while the heap moves cheaper
+        # 2-tuples.
         for r in range(n_res):
             heap = ready[r]
             while heap and free[r] > 0:
@@ -290,12 +286,12 @@ class IncrementalSimulator:
     def base_timeline(self) -> Timeline:
         """The base run's full timeline, rebuilt from the resident arrays.
 
-        Bit-identical to ``engine.simulate(chains)``: every ``start`` and
-        ``end`` is the exact float the base event loop produced, and a
-        stage's ``ready`` is its predecessor's completion (0.0 for the
-        first backprop stage) — the same value the engine stamps when it
-        pushes the stage into a ready queue.  Costs one pass over the
-        tasks instead of a second record-collecting simulation.
+        This is what ``engine.simulate(chains)`` returns: every ``start``
+        and ``end`` is the exact float the base event loop produced, and
+        a stage's ``ready`` is its predecessor's completion (0.0 for the
+        first backprop stage) — the instant the stage entered its ready
+        queue.  Costs one pass over the tasks instead of a second,
+        record-collecting simulation.
         """
         start_time = self._start_time
         end_time = self._end_time

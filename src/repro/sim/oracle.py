@@ -31,7 +31,7 @@ makes exact equality attainable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.sim.engine import ScheduledStage, Timeline
 from repro.sim.stages import CPU, RESOURCES, TensorChain
@@ -58,9 +58,7 @@ class _Task:
 
 
 def simulate_reference(
-    chains: Sequence[TensorChain],
-    cpu_capacity: int = 1,
-    capacities: Optional[Dict[str, int]] = None,
+    chains: Sequence[TensorChain], cpu_capacity: int = 1
 ) -> Timeline:
     """Simulate ``chains`` naively and return the full timeline.
 
@@ -72,8 +70,6 @@ def simulate_reference(
         raise ValueError("nothing to simulate")
     resource_capacity = {name: 1 for name in RESOURCES}
     resource_capacity[CPU] = max(1, cpu_capacity)
-    if capacities:
-        resource_capacity.update(capacities)
     res_index = {name: i for i, name in enumerate(RESOURCES)}
 
     tasks: List[_Task] = []
@@ -148,11 +144,7 @@ def simulate_reference(
 
 
 def reference_makespan(
-    chains: Sequence[TensorChain],
-    cpu_capacity: int = 1,
-    capacities: Optional[Dict[str, int]] = None,
+    chains: Sequence[TensorChain], cpu_capacity: int = 1
 ) -> float:
     """The naive simulation's makespan only."""
-    return simulate_reference(
-        chains, cpu_capacity=cpu_capacity, capacities=capacities
-    ).makespan
+    return simulate_reference(chains, cpu_capacity=cpu_capacity).makespan

@@ -81,7 +81,6 @@ def check_timeline(
     timeline: Timeline,
     chains: Optional[Sequence[TensorChain]] = None,
     cpu_capacity: int = 1,
-    capacities: Optional[Dict[str, int]] = None,
     max_violations: int = 20,
 ) -> List[Violation]:
     """Check ``timeline`` against the scheduler invariants.
@@ -91,7 +90,6 @@ def check_timeline(
         chains: the stage chains the timeline claims to realize; enables
             the completeness and cross-tensor precedence checks.
         cpu_capacity: CPU pool workers used for the overlap check.
-        capacities: optional per-resource capacity overrides.
         max_violations: stop collecting after this many (the checker is
             a diagnostic, not an enumerator of every consequence of one
             root cause).
@@ -107,8 +105,6 @@ def check_timeline(
 
     resource_capacity = {name: 1 for name in RESOURCES}
     resource_capacity[CPU] = max(1, cpu_capacity)
-    if capacities:
-        resource_capacity.update(capacities)
 
     stages = list(timeline.stages)
     if not stages:
@@ -137,11 +133,10 @@ def assert_valid(
     timeline: Timeline,
     chains: Optional[Sequence[TensorChain]] = None,
     cpu_capacity: int = 1,
-    capacities: Optional[Dict[str, int]] = None,
 ) -> Timeline:
     """Raise :class:`ConformanceError` on any violation; return the timeline."""
     violations = check_timeline(
-        timeline, chains=chains, cpu_capacity=cpu_capacity, capacities=capacities
+        timeline, chains=chains, cpu_capacity=cpu_capacity
     )
     if violations:
         raise ConformanceError(violations)

@@ -1,4 +1,4 @@
-"""Additional engine behaviours: capacity overrides, timeline helpers."""
+"""Additional engine behaviours: timeline helpers and ready times."""
 
 import pytest
 
@@ -16,14 +16,6 @@ from repro.sim import (
 
 def _chain(i, *stages):
     return TensorChain(tensor_index=i, stages=[compute_stage(0.01), *stages])
-
-
-def test_capacity_override_parallelizes_a_link():
-    comm = Stage(resource=INTER, duration=0.05, kind=COMM, label="")
-    chains = [_chain(0, comm), _chain(1, comm)]
-    serial = simulate(chains)
-    doubled = simulate(chains, capacities={INTER: 2})
-    assert doubled.makespan < serial.makespan
 
 
 def test_by_resource_sorted_by_start():

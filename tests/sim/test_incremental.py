@@ -6,7 +6,8 @@ to re-simulating the whole job from scratch.  The property tests here
 drive randomly generated stage chains — durations include zeros so that
 several scheduling batches land on one instant, the regime where the
 checkpoint/restore machinery is easiest to get wrong — through random
-single and multi swaps and compare against the reference engine.
+single and multi swaps and compare each swap with a from-scratch run
+(a fresh base run, :func:`~repro.sim.engine.simulate_makespan`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import simulate_makespan
 from repro.sim.incremental import IncrementalSimulator
+from repro.sim.oracle import reference_makespan
 from repro.sim.stages import (
     COMM,
     CPU,
@@ -93,7 +95,7 @@ def test_swaps_match_full_simulation(job):
     sim = IncrementalSimulator(
         chains, cpu_capacity=cpu_capacity, checkpoint_stride=stride
     )
-    assert sim.base_makespan == simulate_makespan(
+    assert sim.base_makespan == reference_makespan(
         chains, cpu_capacity=cpu_capacity
     )
 

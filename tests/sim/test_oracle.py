@@ -1,12 +1,15 @@
-"""Differential testing: engine vs naive oracle vs incremental simulator.
+"""Differential testing: the scheduler vs the naive oracle.
 
-The three simulators implement the same scheduling model with radically
-different data structures (heaps + checkpoints, flat O(n²) scans,
-resident-array delta replay).  These tests assert **exact float
-equality** between them — not approximate agreement — because the
-planner compares candidate strategies by exact floats and an ulp of
-drift could flip a decision.
+The incremental simulator (whose base run also backs ``engine.simulate``)
+and the oracle implement the same scheduling model with radically
+different data structures (heaps, packed ranks and checkpoint replay vs
+flat O(n²) scans).  These tests assert **exact float equality** between
+base runs, swap replays and the oracle — not approximate agreement —
+because the planner compares candidate strategies by exact floats and
+an ulp of drift could flip a decision.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster
 from repro.config import GCInfo, JobConfig, SystemInfo
-from repro.core.conformance import validate_job
+from repro.core.conformance import (
+    conformance_strategies,
+    validate_job,
+    validate_strategy,
+)
+from repro.core.strategy import StrategyEvaluator
 from repro.models import available_models, get_model
 from repro.sim import (
     COMM,
@@ -140,3 +148,22 @@ def test_zoo_oracle_fast_subset(model_name):
     """Default-on fast subset of the oracle sweep (smallest two models)."""
     for report in validate_job(_zoo_job(model_name, "nvlink"), oracle=True):
         assert report.ok, f"{model_name}/{report.name} failed conformance"
+
+
+@pytest.mark.parametrize("name", ["baseline", "baseline-flat", "allgather-gpu"])
+def test_validate_audits_the_swap_path(monkeypatch, name):
+    """The incremental column prices each strategy by swapping it into
+    a simulator built on a different FP32 base, so a swap replay one
+    ulp off fails the audit while the from-scratch run stays exact."""
+    swap = IncrementalSimulator.swap_chains_flat
+
+    def one_ulp_high(self, replacements):
+        return math.nextafter(swap(self, replacements), math.inf)
+
+    monkeypatch.setattr(IncrementalSimulator, "swap_chains_flat", one_ulp_high)
+    job = _zoo_job("lstm", "nvlink")
+    strategy = dict(conformance_strategies(job.model.num_tensors))[name]
+    report = validate_strategy(StrategyEvaluator(job), strategy, name=name)
+    assert report.oracle_exact
+    assert not report.incremental_exact
+    assert not report.ok

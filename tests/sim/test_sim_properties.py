@@ -17,6 +17,7 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.engine import simulate_makespan
+from repro.sim.oracle import reference_makespan
 
 durations = st.floats(0.0, 0.1)
 
@@ -91,10 +92,11 @@ def test_makespan_lower_bounds(chains_spec):
 @given(chain_lists, st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_fast_path_agrees(chains_spec, cpu_capacity):
+    """The makespan-only path equals the naive oracle's, exactly."""
     chains = build(chains_spec)
-    assert simulate_makespan(chains, cpu_capacity=cpu_capacity) == simulate(
-        chains, cpu_capacity=cpu_capacity
-    ).makespan
+    assert simulate_makespan(chains, cpu_capacity=cpu_capacity) == (
+        reference_makespan(chains, cpu_capacity=cpu_capacity)
+    )
 
 
 @given(chain_lists)

@@ -241,6 +241,45 @@ def test_non_positive_cluster_dimensions_exit_2(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "--model", "lstm", "--machines", "2", "--gpus", "4",
+     "--robust", "--objective", "cvar", "--cvar-alpha", "2"],
+    ["plan", "--model", "lstm", "--machines", "2", "--gpus", "4",
+     "--robust", "--objective", "cvar", "--cvar-alpha", "0"],
+    ["fleet", "--mix", "pcie-trio", "--cvar-alpha", "5"],
+])
+def test_bad_cvar_alpha_exits_2_before_planning(argv, capsys):
+    """An out-of-range tail fraction is refused up front, not with a
+    traceback once the planners have run."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--cvar-alpha must be in (0, 1]" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_validate_unwritable_trace_exits_2(tmp_path, capsys):
+    trace = tmp_path / "missing" / "trace.json"
+    assert main([
+        "validate", "--model", "lstm", "--machines", "2", "--gpus", "4",
+        "--strategy", "baseline", "--skip-oracle", "--trace", str(trace),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {trace}" in err
+    assert err.count("\n") == 1
+
+
+def test_plan_fusion_unwritable_save_exits_2(tmp_path, capsys):
+    plan = tmp_path / "missing" / "plan.json"
+    assert main([
+        "plan", "--model", "lstm", "--gc", "dgc", "--ratio", "0.01",
+        "--machines", "2", "--gpus", "4", "--fusion", "--save", str(plan),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {plan}" in err
+    assert err.count("\n") == 1
+
+
 # -- ratio ladder / error budget flags -------------------------------------
 
 
