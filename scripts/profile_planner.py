@@ -11,13 +11,17 @@ Usage::
 
     PYTHONPATH=src python scripts/profile_planner.py [model] [--top N]
         [--fast/--no-fast] [--sort cumulative|tottime]
+        [--gc NAME] [--ratio R]
         [--testbed nvlink|pcie] [--machines N] [--gpus K]
 
-Defaults to bert-base (the slowest zoo selection) on NVLink 8x8 with
-the fast incremental evaluation layer on — profile ``--no-fast`` to see
-what the scalar from-scratch engine spends.  The cluster flags are
-spelled as ``repro plan`` spells them; ``lstm --machines 2 --gpus 2``
-profiles the plan of a fleet tenant (``repro fleet``'s default shape).
+Defaults to bert-base (the slowest zoo selection) with dgc on NVLink
+8x8 and the fast incremental evaluation layer on — profile
+``--no-fast`` to see what the scalar from-scratch engine spends.  The
+job flags are spelled as ``repro plan`` spells them (``--ratio``
+defaults to the compressor's own): ``lstm --machines 2 --gpus 2``
+profiles the plan of a fleet tenant (``repro fleet``'s default shape),
+``ugatit --gc randomk --ratio 0.01 --machines 6 --gpus 2`` the
+Algorithm-2-bound shape of the planner benchmark's zoo workload.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ def main(argv=None) -> int:
         action="store_false",
         help="profile the from-scratch scalar engine instead",
     )
+    parser.add_argument("--gc", default="dgc", help="compression algorithm name")
+    parser.add_argument("--ratio", type=float, default=None,
+                        help="sparsification ratio (for randomk/topk/dgc)")
     parser.add_argument("--testbed", default="nvlink", choices=("nvlink", "pcie"))
     parser.add_argument("--machines", type=int, default=8)
     parser.add_argument("--gpus", type=int, default=8, help="GPUs per machine")
@@ -63,13 +70,18 @@ def main(argv=None) -> int:
         )
 
     factory = nvlink_100g_cluster if args.testbed == "nvlink" else pcie_25g_cluster
+    params = {} if args.ratio is None else {"ratio": args.ratio}
     job = JobConfig(
         model=get_model(args.model),
-        gc=GCInfo("dgc", {"ratio": 0.01}),
+        gc=GCInfo(args.gc, params),
         system=SystemInfo(
             cluster=factory(num_machines=args.machines, gpus_per_machine=args.gpus)
         ),
     )
+    try:
+        job.build_compressor()
+    except ValueError as error:
+        parser.error(str(error))
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -80,7 +92,8 @@ def main(argv=None) -> int:
 
     stats = result.stats
     print(
-        f"{args.model} on {args.testbed} {args.machines}x{args.gpus}: "
+        f"{args.model} {args.gc} on {args.testbed} "
+        f"{args.machines}x{args.gpus}: "
         f"selection {elapsed_ms:.1f} ms, "
         f"iteration_time {result.iteration_time * 1e3:.3f} ms, "
         f"fast_eval={args.fast}"
@@ -90,6 +103,12 @@ def main(argv=None) -> int:
         f"{stats.incremental_sims}, memo hits {stats.cache_hits}, "
         f"batch: {stats.batch_candidates} candidates / "
         f"{stats.batch_dedup_hits} dedup / {stats.batch_pruned} pruned"
+    )
+    print(
+        f"Algorithm 2: {stats.offload_passes} passes "
+        f"({stats.offload_descent_passes} by coordinate descent), "
+        f"{stats.offload_combinations} combinations, "
+        f"{stats.offload_trials} trials priced"
     )
 
     sorts = (args.sort,) if args.sort else ("cumulative", "tottime")

@@ -232,6 +232,15 @@ def _print_stats(result) -> None:
         ]
         print(render_table(["batch pricing", "value"], batch_rows))
         print()
+    if stats.offload_passes:
+        offload_rows = [
+            ("passes", f"{stats.offload_passes:,}"),
+            ("by coordinate descent", f"{stats.offload_descent_passes:,}"),
+            ("Theorem 1 combinations", f"{stats.offload_combinations:,}"),
+            ("trials priced", f"{stats.offload_trials:,}"),
+        ]
+        print(render_table(["Algorithm 2", "value"], offload_rows))
+        print()
     if stats.parallel_requested > 1:
         worker_rows = [
             ("requested width", f"{stats.parallel_requested}"),

@@ -159,8 +159,11 @@ class Espresso:
             :func:`~repro.core.algorithm.device_candidate_options`
             (C_gpu plus the CPU-uniform options — see that function's
             docstring for why the paper's pure C_gpu is widened).
-        max_offload_evaluations: budget for Algorithm 2's exhaustive
-            group-count enumeration before falling back to sweeps.
+        max_offload_evaluations: the largest Theorem 1 product,
+            prod(|G_i| + 1) count vectors, that an Algorithm 2 pass
+            searches exactly; a pass over a larger product takes
+            coordinate descent.  It limits the product, not the trials
+            priced: the exact search prices at most that many.
         prefilter_per_device: per-tensor candidate prefilter strength
             (see :func:`~repro.core.algorithm.prefilter_candidates`);
             0 disables it for the exact, paper-sized search.

@@ -5,22 +5,31 @@ After Algorithm 1, the compressed tensors T_gpu are grouped by
 to the CPU, the best q are those **farthest from the output layer** —
 they are computed earliest in backprop, so their CPU compression overlaps
 the remaining computation and communication.  Algorithm 2 therefore only
-enumerates the *count* of offloaded tensors per group
-(prod(|G_i| + 1) combinations, Theorem 1) instead of all 2^|T_gpu|
-subsets, evaluating each combination's F(S).
+searches the *count* of offloaded tensors per group (prod(|G_i| + 1)
+count vectors, Theorem 1) instead of all 2^|T_gpu| subsets.
 
-When the group structure still makes the product impractically large, a
-coordinate-descent sweep over the group counts (each sweep step is
-exact within its group, by Lemma 1) is used instead; the exhaustive path
-is always taken when the product fits the ``max_evaluations`` budget, so
-Theorem 1's optimality claim is testable against brute force.
+The exact search is a depth-first branch and bound over the group
+counts (DESIGN.md §5.1).  It visits count vectors in
+``itertools.product`` order and cuts a subtree once a lower bound on
+every F(S) inside it reaches the incumbent.  The bound is each offloaded
+tensor's chain: forward time, the backprop compute prefix up to the
+tensor, then its CPU pipeline.  Leaves are priced by the evaluator and
+accepted only when strictly faster, so the result is the first minimum
+of the full product-order scan, bit for bit.
+
+When the product exceeds ``max_evaluations``, a coordinate-descent sweep
+over the group counts (each sweep step is exact within its group, by
+Lemma 1) is used instead; the exact path is always taken when the
+product fits, so Theorem 1's optimality claim is testable against brute
+force.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.options import CompressionOption, Device, canonical_key
 from repro.core.strategy import CompressionStrategy, StrategyEvaluator
@@ -143,50 +152,132 @@ def cpu_offload_decision(
     strategy: CompressionStrategy,
     max_evaluations: int = 100_000,
 ) -> OffloadResult:
-    """Run Algorithm 2 on the output of Algorithm 1."""
+    """Run Algorithm 2 on the output of Algorithm 1.
+
+    ``max_evaluations`` caps the Theorem 1 product searched exactly;
+    a larger product takes coordinate descent.  The pass is booked in
+    the evaluator's ``offload_*`` counters (``plan --stats``).
+    """
     evaluations_before = evaluator.evaluations
     groups = tuple(offload_groups(evaluator, strategy))
     base_time = evaluator.iteration_time(strategy)
     combinations = _combination_count(groups)
-    if not groups:
-        return OffloadResult(
-            strategy=strategy,
-            iteration_time=base_time,
-            counts=(),
-            groups=groups,
-            combinations=combinations,
-            evaluations=evaluator.evaluations - evaluations_before,
-        )
-
-    best_counts = (0,) * len(groups)
+    counts: Tuple[int, ...] = ()
     best_time = base_time
-    cpu_options = [group.option.with_device(Device.CPU) for group in groups]
-    exhaustive = combinations <= max_evaluations
-    if exhaustive:
-        for counts in itertools.product(*(range(len(g) + 1) for g in groups)):
-            if not any(counts):
-                continue  # base case already evaluated
-            trial_time = evaluator.iteration_time_multi(
-                strategy, _count_replacements(groups, counts, cpu_options)
-            )
-            if trial_time < best_time:
-                best_time = trial_time
-                best_counts = counts
-    else:
-        best_counts, best_time = _coordinate_descent(
-            evaluator, strategy, groups, cpu_options, best_time
+    exhaustive = True
+    if groups:
+        exhaustive = combinations <= max_evaluations
+        search = _branch_and_bound if exhaustive else _coordinate_descent
+        cpu_options = [group.option.with_device(Device.CPU) for group in groups]
+        counts, best_time = search(
+            evaluator, strategy, groups, cpu_options, base_time
         )
-
-    best = apply_offload_counts(strategy, groups, best_counts)
+        strategy = apply_offload_counts(strategy, groups, counts)
+    evaluations = evaluator.evaluations - evaluations_before
+    stats = evaluator.stats
+    stats.offload_passes += 1
+    stats.offload_descent_passes += not exhaustive
+    stats.offload_combinations += combinations
+    stats.offload_trials += evaluations
     return OffloadResult(
-        strategy=best,
+        strategy=strategy,
         iteration_time=best_time,
-        counts=tuple(best_counts),
+        counts=counts,
         groups=groups,
         combinations=combinations,
-        evaluations=evaluator.evaluations - evaluations_before,
+        evaluations=evaluations,
         exhaustive=exhaustive,
     )
+
+
+def _offload_bounds(
+    evaluator: StrategyEvaluator,
+    groups: Sequence[OffloadGroup],
+    cpu_options: Sequence[CompressionOption],
+) -> List[List[float]]:
+    """Per group, entry c is a lower bound on F(S) of every strategy that
+    moves at least the group's first c members to the CPU.
+
+    Backprop compute is one serial chain on the GPU stream, and each
+    stage of a tensor starts no earlier than its predecessor ends.  So
+    tensor i's last stage ends no earlier than the left fold
+    ``compute_0 + ... + compute_i`` continued over the durations of its
+    CPU pipeline, and F(S), forward time plus the makespan, is no lower
+    than forward time plus that fold.  The simulator adds the same
+    floats along the same chain and float addition is monotone, so the
+    bound holds exactly, with no margin.  Entry c is the running max
+    over the first c members (entry 0 bounds nothing), so it never
+    falls as c grows.
+    """
+    model = evaluator.model
+    forward = model.forward_time
+    compute_ends = list(
+        accumulate(tensor.compute_time for tensor in model.tensors)
+    )
+    bounds = []
+    for group, cpu_option in zip(groups, cpu_options):
+        pipeline = [
+            stage.duration
+            for stage in evaluator.compiler.stages(cpu_option, group.size)
+        ]
+        ceiling = [-math.inf]
+        for index in group.members:
+            end = compute_ends[index]
+            for duration in pipeline:
+                end += duration
+            ceiling.append(max(ceiling[-1], forward + end))
+        bounds.append(ceiling)
+    return bounds
+
+
+def _branch_and_bound(
+    evaluator: StrategyEvaluator,
+    strategy: CompressionStrategy,
+    groups: Sequence[OffloadGroup],
+    cpu_options: Sequence[CompressionOption],
+    base_time: float,
+) -> Tuple[Tuple[int, ...], float]:
+    """The first minimum of the product-order scan over group counts.
+
+    An odometer over the counts (last group fastest, as
+    ``itertools.product`` orders them) that skips a subtree once its
+    bound (:func:`_offload_bounds`) reaches the incumbent: every leaf
+    in it offloads the bounded tensors, so none is strictly faster, and
+    the scan would accept none of them.  A bound only grows with the
+    count and the incumbent only falls, so a cut count ends its group's
+    level.  Written as a loop on purpose: a recursive closure is a
+    reference cycle that keeps the evaluator alive until the cycle
+    collector runs.
+    """
+    bounds = _offload_bounds(evaluator, groups, cpu_options)
+    depth = len(groups)
+    counts = [0] * depth
+    # floors[g]: the bound every leaf below the counts fixed at levels
+    # before g shares; a level at count 0 adds nothing to it.
+    floors = [-math.inf] * depth
+    best_counts = tuple(counts)
+    best_time = base_time
+    level = depth - 1
+    while level >= 0:
+        count = counts[level] + 1
+        if count <= len(groups[level]):
+            floor = max(floors[level], bounds[level][count])
+            if floor < best_time:
+                counts[level] = count
+                for below in range(level + 1, depth):
+                    floors[below] = floor
+                trial_time = evaluator.iteration_time_multi(
+                    strategy, _count_replacements(groups, counts, cpu_options)
+                )
+                if trial_time < best_time:
+                    best_time = trial_time
+                    best_counts = tuple(counts)
+                level = depth - 1
+                continue
+        # This level is exhausted or cut: carry into the previous group.
+        counts[level] = 0
+        level -= 1
+    return best_counts, best_time
 
 
 def _coordinate_descent(

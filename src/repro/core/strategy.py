@@ -289,6 +289,15 @@ class EvaluatorStats:
             batch walk handed back to the scalar replay; that walk is
             gone, and the field stays because the planner benchmark's
             stats reader (``benchmarks/suite/spans.py``) still reads it.
+        offload_passes: Algorithm 2 runs (``cpu_offload_decision``
+            calls).
+        offload_descent_passes: runs whose Theorem 1 product exceeded
+            ``max_offload_evaluations`` and took coordinate descent.
+        offload_combinations: Theorem 1 count vectors, prod(|G_i| + 1),
+            summed over the runs.
+        offload_trials: F(S) evaluations the runs made, the base
+            included; a run that priced every count vector adds its
+            combinations.
         parallel_jobs: effective worker-pool width (after the core-count
             clamp and any mid-run pool failure; 1 = serial).
         parallel_requested: the width the caller asked for (``--jobs``).
@@ -316,6 +325,10 @@ class EvaluatorStats:
     batch_pruned: int = 0
     batch_dedup_hits: int = 0
     batch_fallbacks: int = 0
+    offload_passes: int = 0
+    offload_descent_passes: int = 0
+    offload_combinations: int = 0
+    offload_trials: int = 0
     parallel_jobs: int = 1
     parallel_requested: int = 1
     parallel_disabled_reason: Optional[str] = None

@@ -1,6 +1,8 @@
 """End-to-end planner tests."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -61,6 +63,71 @@ def test_every_offload_pass_counts_as_algorithm2_time(monkeypatch):
     result = Espresso(job).select_strategy()
     assert len(calls) >= 2
     assert result.offload_selection_seconds >= 0.02 * len(calls)
+
+
+def test_algorithm2_counters_report_how_each_pass_was_solved(monkeypatch):
+    """``plan --stats`` books every Algorithm 2 pass: how many there
+    were, how many took coordinate descent, their Theorem 1 products and
+    the trials they priced."""
+    real = espresso_module.cpu_offload_decision
+    results = []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(espresso_module, "cpu_offload_decision", recording)
+    job = JobConfig(
+        model=get_model("vgg16"),
+        gc=GCInfo("dgc", {"ratio": 0.01}),
+        system=SystemInfo(
+            cluster=nvlink_100g_cluster(num_machines=8, gpus_per_machine=8)
+        ),
+    )
+    for limit in (100_000, 0):
+        results.clear()
+        planner = Espresso(job, max_offload_evaluations=limit)
+        stats = planner.select_strategy().stats
+        assert stats.offload_passes == len(results) >= 2
+        assert stats.offload_descent_passes == sum(
+            not result.exhaustive for result in results
+        )
+        assert stats.offload_combinations == sum(
+            result.combinations for result in results
+        )
+        assert stats.offload_trials == sum(
+            result.evaluations for result in results
+        )
+        if limit:
+            assert stats.offload_descent_passes == 0
+            assert stats.offload_trials <= stats.offload_combinations
+        else:
+            assert stats.offload_descent_passes >= 1
+
+
+def test_finished_plan_frees_its_memory_without_the_cycle_collector():
+    """Dropping a planner and its result frees the evaluator by reference
+    counting alone: a reference cycle through it would keep every
+    simulator, memo and chain cache of the plan alive until a
+    generation-2 collection."""
+    job = JobConfig(
+        model=get_model("gpt2"),
+        gc=GCInfo("dgc", {"ratio": 0.01}),
+        system=SystemInfo(
+            cluster=nvlink_100g_cluster(num_machines=2, gpus_per_machine=8)
+        ),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        planner = Espresso(job)
+        evaluator = weakref.ref(planner.evaluator)
+        result = planner.select_strategy()
+        del planner, result
+        assert evaluator() is None
+    finally:
+        gc.enable()
 
 
 def test_selection_seconds_covers_every_evaluation(monkeypatch):

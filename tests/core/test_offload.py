@@ -1,17 +1,27 @@
 """Algorithm 2 tests: grouping, Lemma 1, and Theorem 1 vs brute force."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import brute_force_offload_search
 from repro.core.algorithm import gpu_compression_decision
 from repro.core.offload import (
+    _offload_bounds,
     apply_offload_counts,
     cpu_offload_decision,
     offload_groups,
 )
-from repro.core.options import Device
-from repro.core.presets import inter_allgather_option
-from repro.core.strategy import StrategyEvaluator
+from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster
+from repro.core.options import Device, no_compression_option
+from repro.core.presets import (
+    double_compression_option,
+    inter_allgather_option,
+    inter_alltoall_option,
+)
+from repro.core.strategy import CompressionStrategy, StrategyEvaluator
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.models import synthetic_model
 from repro.utils.units import MB, MS
@@ -182,3 +192,148 @@ def test_canonical_key_is_value_interned():
         assert (canonical_key(a) == canonical_key(b)) == (a == b)
 
     check()
+
+
+def product_scan(evaluator, strategy):
+    """The reference answer of Algorithm 2: the first minimum of the full
+    product-order scan over group counts, priced from scratch."""
+    groups = offload_groups(evaluator, strategy)
+    best_counts = (0,) * len(groups)
+    best_time = evaluator.iteration_time(strategy)
+    for counts in itertools.product(*(range(len(g) + 1) for g in groups)):
+        if not any(counts):
+            continue
+        trial = apply_offload_counts(strategy, groups, counts)
+        trial_time = evaluator.iteration_time_uncached(trial)
+        if trial_time < best_time:
+            best_counts, best_time = counts, trial_time
+    return best_counts, best_time
+
+
+GPU_OPTIONS = [
+    builder(Device.GPU)
+    for builder in (
+        inter_allgather_option,
+        inter_alltoall_option,
+        double_compression_option,
+    )
+]
+COMPRESSORS = [
+    GCInfo("dgc", {"ratio": 0.01}),
+    GCInfo("randomk", {"ratio": 0.05}),
+    GCInfo("topk", {"ratio": 0.01}),
+    GCInfo("efsignsgd"),
+    GCInfo("fp16"),
+]
+
+
+@st.composite
+def offload_cases(draw):
+    """A small job and an Algorithm-1-shaped strategy over it: sizes
+    repeat so groups have several members, and compute times may be
+    zero so exact F(S) ties occur."""
+    sizes = draw(st.lists(
+        st.sampled_from([int(0.5 * MB / 4), int(8 * MB / 4), int(64 * MB / 4)]),
+        min_size=2,
+        max_size=7,
+    ))
+    computes = draw(st.lists(
+        st.sampled_from([0.0, 0.0, 1 * MS, 2.5 * MS, 6 * MS]),
+        min_size=len(sizes),
+        max_size=len(sizes),
+    ))
+    options = draw(st.lists(
+        st.sampled_from([*GPU_OPTIONS, no_compression_option()]),
+        min_size=len(sizes),
+        max_size=len(sizes),
+    ))
+    testbed = draw(st.sampled_from([nvlink_100g_cluster, pcie_25g_cluster]))
+    cluster = testbed(
+        num_machines=draw(st.integers(1, 4)),
+        gpus_per_machine=draw(st.integers(1, 4)),
+    )
+    job = JobConfig(
+        model=synthetic_model(
+            "offload-prop", list(zip(sizes, computes)), forward_time=2 * MS
+        ),
+        gc=draw(st.sampled_from(COMPRESSORS)),
+        system=SystemInfo(cluster=cluster),
+    )
+    return job, CompressionStrategy(options=tuple(options))
+
+
+@settings(max_examples=60, deadline=None)
+@given(offload_cases(), st.booleans())
+def test_search_equals_product_order_scan(case, fast):
+    """The branch and bound returns the scan's first minimum: the same
+    counts and the same F(S), bit for bit, with fast evaluation on or
+    off, and never prices more trials than the scan."""
+    job, strategy = case
+    result = cpu_offload_decision(StrategyEvaluator(job, fast=fast), strategy)
+    counts, best_time = product_scan(StrategyEvaluator(job, fast=False), strategy)
+    assert result.counts == counts
+    assert result.iteration_time == best_time
+    assert result.exhaustive
+    assert result.evaluations <= result.combinations
+
+
+@settings(max_examples=30, deadline=None)
+@given(offload_cases())
+def test_offload_bounds_never_exceed_fs(case):
+    """Entry c of a group's bound is at or below F(S) of every count
+    vector that offloads at least the group's first c members."""
+    job, strategy = case
+    evaluator = StrategyEvaluator(job, fast=False)
+    groups = offload_groups(evaluator, strategy)
+    cpu_options = [group.option.with_device(Device.CPU) for group in groups]
+    bounds = _offload_bounds(evaluator, groups, cpu_options)
+    for counts in itertools.product(*(range(len(g) + 1) for g in groups)):
+        trial = apply_offload_counts(strategy, groups, counts)
+        fs = evaluator.iteration_time_uncached(trial)
+        for bound, count in zip(bounds, counts):
+            assert bound[count] <= fs
+
+
+@pytest.mark.parametrize("gc", COMPRESSORS, ids=lambda gc: gc.algorithm)
+def test_offload_bound_of_a_lone_tensor_is_its_fs(gc):
+    """Nothing delays a lone tensor's chain, so its bound is its F(S)
+    exactly: the bound carries no margin."""
+    model = synthetic_model(
+        "lone", [(int(8 * MB / 4), 3 * MS)], forward_time=2 * MS
+    )
+    job = JobConfig(
+        model=model, gc=gc, system=SystemInfo(cluster=nvlink_100g_cluster(2, 4))
+    )
+    strategy = CompressionStrategy(options=(inter_allgather_option(Device.GPU),))
+    evaluator = StrategyEvaluator(job)
+    groups = offload_groups(evaluator, strategy)
+    cpu_options = [groups[0].option.with_device(Device.CPU)]
+    bound = _offload_bounds(evaluator, groups, cpu_options)[0][1]
+    offloaded = apply_offload_counts(strategy, groups, [1])
+    assert bound == evaluator.iteration_time(offloaded)
+
+
+def test_search_cuts_the_subtrees_a_giant_tensor_outlasts():
+    """One tensor whose CPU pipeline alone outlasts the iteration: every
+    count vector that offloads it is cut unpriced, and the answer is
+    still the scan's."""
+    model = synthetic_model(
+        "giant",
+        [(268_435_456, 4 * MS)] + [(int(2 * MB / 4), 1 * MS)] * 4,
+        forward_time=5 * MS,
+    )
+    job = JobConfig(
+        model=model,
+        gc=GCInfo("randomk", {"ratio": 0.01}),
+        system=SystemInfo(cluster=nvlink_100g_cluster(2, 4)),
+    )
+    option = inter_allgather_option(Device.GPU)
+    strategy = CompressionStrategy(options=(option,) * model.num_tensors)
+    evaluator = StrategyEvaluator(job)
+    result = cpu_offload_decision(evaluator, strategy)
+    assert [len(g) for g in result.groups] == [1, 4]
+    assert result.combinations == 10
+    assert result.evaluations < result.combinations
+    assert (result.counts, result.iteration_time) == product_scan(
+        StrategyEvaluator(job, fast=False), strategy
+    )

@@ -27,6 +27,32 @@ def test_plan_command_small_job(capsys):
     assert "Espresso selected compression" in out
 
 
+def test_plan_stats_reports_how_algorithm2_was_solved(capsys):
+    assert main([
+        "plan", "--model", "vgg16", "--gc", "dgc", "--ratio", "0.01",
+        "--stats",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    headers = [
+        i for i, line in enumerate(lines)
+        if line.split() == ["Algorithm", "2", "value"]
+    ]
+    assert len(headers) == 1
+    rows = {}
+    for line in lines[headers[0] + 2:]:
+        if not line.strip():
+            break
+        name, value = line.rsplit(None, 1)
+        rows[name.strip()] = int(value.replace(",", ""))
+    assert set(rows) == {
+        "passes", "by coordinate descent", "Theorem 1 combinations",
+        "trials priced",
+    }
+    assert rows["passes"] >= 1
+    assert rows["by coordinate descent"] == 0
+    assert rows["trials priced"] <= rows["Theorem 1 combinations"]
+
+
 def test_compare_command(capsys):
     assert main([
         "compare", "--model", "lstm", "--gc", "efsignsgd",
