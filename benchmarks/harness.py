@@ -74,10 +74,10 @@ def run_case(
 def merge_bench_json(path: Path, updates: Dict) -> Dict:
     """Merge ``updates`` into a BENCH_*.json file, keeping other keys.
 
-    Several bench modules contribute sections to the same trajectory
-    file (e.g. ``test_perf_planner`` writes the per-model records and
-    ``test_perf_parallel`` the ``"parallel"`` section); a plain
-    ``write_text`` from either would clobber the other's section.
+    Several bench functions contribute sections to the same trajectory
+    file (``test_perf_planner`` writes the per-model records, the fusion
+    and ratio benches their own sections); a plain ``write_text`` from
+    either would clobber the other's section.
     """
     existing: Dict = {}
     if path.exists():

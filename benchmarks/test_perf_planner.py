@@ -18,6 +18,8 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -122,9 +124,11 @@ def test_perf_planner(benchmark):
     records = compute_records()
     benchmark(compute_records)
 
-    # Merge, don't clobber: test_perf_parallel contributes a "parallel"
-    # section to the same trajectory file.
-    merge_bench_json(BENCH_PATH, records)
+    # Merge, don't clobber: the fusion and ratio benches below write
+    # their own sections of the same trajectory file.
+    host = {"cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version()}
+    merge_bench_json(BENCH_PATH, {**records, "host": host})
 
     table = render_table(
         ["Model", "selection", "F(S) calls", "cache hits", "prefix reuse"],

@@ -42,6 +42,11 @@ echo "== benchmark self-tests: tracer targets, workloads, correctness gates =="
 # breaks the benchmark's tracer (a renamed target or stats field) fails
 # here instead of at the next benchmark run.
 run_phase python -m pytest benchmarks/suite -q -p no:cacheprovider
+# One traced portfolio round: the tracer reads Espresso._run_pipeline's
+# candidate list to tell ladder passes from fixed ones, and no
+# self-test traces that workload.
+run_phase python3 benchmarks/suite/run.py --workload portfolio --seed 0 \
+    --seconds 1 --trace 1
 
 echo
 echo "== slow suite (O(n^2) oracle sweeps over the zoo) =="
@@ -82,8 +87,8 @@ echo
 echo "== fusion equivalence: fused plans bit-identical + conformant =="
 # Fused vs unfused single-tensor-group plans are bit-identical, fused
 # timelines pass the unmodified invariant battery + differential
-# oracle, --jobs N fusion search matches serial, and stale plan
-# artifacts are refused with exit 2.
+# oracle, the laddered fusion search never loses to the fixed-ratio
+# one, and stale plan artifacts are refused with exit 2.
 run_phase python -m pytest -q tests/core/test_fusion.py -m ''
 
 echo
@@ -102,21 +107,6 @@ run_phase python -m pytest -q -m '' tests/core/test_ratio.py \
 run_phase python -m repro plan --model vgg16 --gc dgc --ratio 0.01 \
     --machines 2 --gpus 4 --ratios --error-budget 0.9 --check \
     | grep "conformance:"
-
-echo
-echo "== parallel equivalence: --jobs N bit-identical to serial (zoo) =="
-run_phase python -m pytest -q tests/core/test_parallel.py \
-    tests/core/test_parallel_equivalence.py -m ''
-
-echo
-echo "== parallel planner: plan --jobs 4 --check smoke =="
-run_phase python -m repro plan --model vgg16 --gc dgc --ratio 0.01 \
-    --machines 2 --gpus 4 --jobs 4 --check | grep "conformance:"
-
-echo
-echo "== parallel benchmark sanity: --jobs 4 <= 1.2x serial =="
-run_phase python -m pytest -q -p no:cacheprovider \
-    benchmarks/test_perf_parallel.py
 
 echo
 echo "== planner perf: selection trajectory + regression gate =="

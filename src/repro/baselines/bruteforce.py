@@ -11,14 +11,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.options import CompressionOption, no_compression_option
-from repro.core.parallel import (
-    EvaluatorPool,
-    WorkerPoolError,
-    _bruteforce_range_task,
-)
 from repro.core.strategy import CompressionStrategy, StrategyEvaluator
 
 
@@ -32,66 +27,16 @@ class BruteForceResult:
     seconds: float
 
 
-def _bruteforce_parallel(
-    evaluator: StrategyEvaluator,
-    options: List[CompressionOption],
-    n: int,
-    total: int,
-    jobs: int,
-    oversubscribe: bool,
-) -> Optional[Tuple[float, int, int]]:
-    """Fan the enumeration out as contiguous index ranges.
-
-    Returns ``(best_time, best_enumeration_index, evaluations)`` or
-    ``None`` when the pool is unavailable.  The serial scan keeps the
-    first strictly-smaller time, which equals the minimum under the
-    total order ``(time, enumeration index)`` — so merging the
-    per-range winners by that order reproduces the serial pick exactly,
-    no matter how the ranges were cut.
-    """
-    pool = EvaluatorPool(
-        jobs,
-        job=evaluator.job,
-        fast=evaluator.fast,
-        check=evaluator.check,
-        vocab=options,
-        oversubscribe=oversubscribe,
-    )
-    try:
-        if not pool.active:
-            return None
-        step = -(-total // pool.jobs)  # ceil division
-        tasks = [
-            (start, min(start + step, total), n)
-            for start in range(0, total, step)
-        ]
-        try:
-            results = pool.run(_bruteforce_range_task, tasks)
-        except WorkerPoolError:
-            return None
-    finally:
-        pool.close()
-    best_time, best_index = min(
-        ((r[0], r[1]) for r in results), key=lambda entry: (entry[0], entry[1])
-    )
-    evaluations = sum(r[2] for r in results)
-    return best_time, best_index, evaluations
-
-
 def brute_force_search(
     evaluator: StrategyEvaluator,
     candidates: Sequence[CompressionOption],
     max_evaluations: int = 2_000_000,
-    jobs: int = 1,
-    oversubscribe: bool = False,
 ) -> BruteForceResult:
     """Exhaustively evaluate every per-tensor option combination.
 
     ``candidates`` should include the no-compression option if it is to
-    be considered (it is appended automatically when absent).  With
-    ``jobs > 1`` the enumeration is split into contiguous ranges across
-    a worker pool; the result is identical to the serial scan (the
-    winner is the minimum under ``(time, enumeration index)``).
+    be considered (it is appended automatically when absent).  The
+    winner is the first strictly smallest time in enumeration order.
     """
     options = list(candidates)
     if not any(not option.compresses for option in options):
@@ -105,49 +50,31 @@ def brute_force_search(
             "use estimate_search_seconds() instead"
         )
     start = time.perf_counter()
-    parallel_result = None
-    if jobs > 1:
-        parallel_result = _bruteforce_parallel(
-            evaluator, options, n, total, jobs, oversubscribe
+    # Walk the enumeration in blocks sharing everything but the last
+    # tensor (product order: last varies fastest) and price each block
+    # through the evaluator's batch layer.  ``bound`` is the running
+    # best: the scan only replaces on *strictly* smaller, so candidates
+    # a sound lower bound proves >= best are pruned without changing
+    # the winner or its tie-breaking.
+    best: Optional[Tuple[float, CompressionStrategy]] = None
+    evaluations = 0
+    for prefix in itertools.product(options, repeat=n - 1):
+        base = CompressionStrategy(options=(*prefix, options[0]))
+        times = evaluator.price_options(
+            base,
+            n - 1,
+            options,
+            bound=best[0] if best is not None else None,
         )
-    if parallel_result is not None:
-        best_time, best_index, evaluations = parallel_result
-        # Decode the winning enumeration index in itertools.product
-        # order (last tensor varies fastest).
-        combo = []
-        remainder = best_index
-        for position in range(n):
-            weight = len(options) ** (n - 1 - position)
-            combo.append(options[remainder // weight])
-            remainder %= weight
-        best = (best_time, CompressionStrategy(options=tuple(combo)))
-        evaluator.evaluations += evaluations
-    else:
-        # Walk the enumeration in blocks sharing everything but the
-        # last tensor (product order: last varies fastest) and price
-        # each block through the evaluator's batch layer.  ``bound`` is
-        # the running best: the scan only replaces on *strictly*
-        # smaller, so candidates a sound lower bound proves >= best are
-        # pruned without changing the winner or its tie-breaking.
-        best: Optional[Tuple[float, CompressionStrategy]] = None
-        evaluations = 0
-        for prefix in itertools.product(options, repeat=n - 1):
-            base = CompressionStrategy(options=(*prefix, options[0]))
-            times = evaluator.price_options(
-                base,
-                n - 1,
-                options,
-                bound=best[0] if best is not None else None,
-            )
-            evaluations += len(options)
-            for option, iteration in zip(options, times):
-                if iteration is None:
-                    continue
-                if best is None or iteration < best[0]:
-                    best = (
-                        iteration,
-                        CompressionStrategy(options=(*prefix, option)),
-                    )
+        evaluations += len(options)
+        for option, iteration in zip(options, times):
+            if iteration is None:
+                continue
+            if best is None or iteration < best[0]:
+                best = (
+                    iteration,
+                    CompressionStrategy(options=(*prefix, option)),
+                )
     seconds = time.perf_counter() - start
     return BruteForceResult(
         strategy=best[1],

@@ -92,6 +92,11 @@ from repro.utils import format_bytes, render_table
 #: same convention argparse uses for unparseable arguments.
 EXIT_USAGE = 2
 
+#: Help text of ``--jobs N``.  The flag is accepted so that scripts and
+#: stored invocations that pass it keep working; N > 1 prints this as a
+#: note.
+JOBS_HELP = "accepted for compatibility; planning runs in one process"
+
 
 class CLIConfigError(Exception):
     """A command-line input cannot be used: a bad flag value, or a config
@@ -184,6 +189,11 @@ def _parse_ratios(value: Optional[str]):
     return ratios
 
 
+def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help=JOBS_HELP)
+
+
 def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", default="gpt2", choices=available_models())
     parser.add_argument("--gc", default="dgc", help="compression algorithm name")
@@ -198,10 +208,7 @@ def _add_job_arguments(parser: argparse.ArgumentParser) -> None:
                         help="GC-information JSON (overrides --gc/--ratio)")
     parser.add_argument("--system-config", default=None,
                         help="system-information JSON (overrides --testbed)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the strategy search "
-                             "(clamped to the host's core count; results "
-                             "are bit-identical for every N)")
+    _add_jobs_argument(parser)
 
 
 def _print_stats(result) -> None:
@@ -240,21 +247,6 @@ def _print_stats(result) -> None:
             ("trials priced", f"{stats.offload_trials:,}"),
         ]
         print(render_table(["Algorithm 2", "value"], offload_rows))
-        print()
-    if stats.parallel_requested > 1:
-        worker_rows = [
-            ("requested width", f"{stats.parallel_requested}"),
-            ("effective width", f"{stats.parallel_jobs}"),
-            ("pricing tasks shipped", f"{stats.parallel_tasks:,}"),
-            ("fan-out wait", f"{stats.fanout_seconds:.3f} s"),
-            ("merge time", f"{stats.merge_seconds:.3f} s"),
-        ]
-        if stats.parallel_disabled_reason:
-            worker_rows.append(("serial because",
-                                stats.parallel_disabled_reason))
-        for pid, count in sorted(stats.worker_evaluations.items()):
-            worker_rows.append((f"evaluations by worker {pid}", f"{count:,}"))
-        print(render_table(["parallel", "value"], worker_rows))
         print()
     phases = [
         ("Algorithm 1 (GPU decision)", result.gpu_selection_seconds),
@@ -305,7 +297,6 @@ def cmd_plan_robust(args: argparse.Namespace) -> int:
         objective=args.objective,
         cvar_alpha=args.cvar_alpha,
         check=args.check,
-        jobs=args.jobs,
     )
     print(result.summary())
     print()
@@ -353,7 +344,6 @@ def cmd_plan_fusion(
         plan = artifact.plan()
     planner = FusionPlanner(
         job,
-        jobs=args.jobs,
         check=args.check,
         plan=plan,
         ratios=ratios,
@@ -416,7 +406,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.fusion or args.load:
         return cmd_plan_fusion(args, job, ratios=ratios)
     core = PlanningCore(
-        jobs=args.jobs,
         check=args.check,
         ratios=ratios,
         error_budget=args.error_budget,
@@ -471,7 +460,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     job = _build_job(args)
     ensemble = ensemble_by_name(args.ensemble)
-    espresso = Espresso(job, jobs=args.jobs).select_strategy().strategy
+    espresso = Espresso(job).select_strategy().strategy
     strategies = [
         ("espresso", espresso),
         ("fp32", baseline_strategy(job.model.num_tensors)),
@@ -480,7 +469,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         baseline = system_cls().run(job)
         strategies.append((baseline.name.lower(), baseline.strategy))
     report = sensitivity_sweep(
-        job, strategies, ensemble=ensemble, check=args.check, jobs=args.jobs
+        job, strategies, ensemble=ensemble, check=args.check
     )
     headers = ["fault"] + [name for name, _ in strategies]
     rows = []
@@ -506,9 +495,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
             f"under {entry.worst_fault!r} "
             f"({entry.overhead_under(entry.worst_fault):+.1%} vs nominal)"
         )
-    if args.jobs > 1 and report.parallel_disabled_reason:
-        print(f"note: --jobs {args.jobs} ran serially: "
-              f"{report.parallel_disabled_reason}")
     if args.check:
         print()
         print(
@@ -526,7 +512,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         systems.append(UpperBound)
     checker = StrategyEvaluator(job, check=True) if args.check else None
     checked = 0
-    results, _ = run_systems(job, systems, args.jobs)
+    results = run_systems(job, systems)
     for result in results:
         if checker is not None:
             try:
@@ -554,14 +540,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     job = _build_job(args)
     oracle = not args.skip_oracle
     if args.strategy == "espresso":
-        selected = Espresso(job, jobs=args.jobs).select_strategy().strategy
+        selected = Espresso(job).select_strategy().strategy
         named = [("espresso", selected)]
     elif args.strategy == "all":
         named = conformance_strategies(job.model.num_tensors)
     else:
         suite = dict(conformance_strategies(job.model.num_tensors))
         named = [(args.strategy, suite[args.strategy])]
-    reports, disabled_reason = validate_suite(job, named, oracle, args.jobs)
+    reports = validate_suite(job, named, oracle)
 
     rows = []
     failures = 0
@@ -588,8 +574,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for report in reports:
         for violation in report.violations:
             print(f"  {report.name}: {violation}")
-    if args.jobs > 1 and disabled_reason:
-        print(f"note: --jobs {args.jobs} ran serially: {disabled_reason}")
     if args.trace:
         timeline = reports[-1].timeline
         _write_output(
@@ -673,7 +657,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         max_rounds=args.max_rounds,
         cvar_alpha=args.cvar_alpha,
         check=args.check,
-        jobs=args.jobs,
     )
     rows = []
     for plan in result.tenants:
@@ -713,9 +696,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         f"({delta:+.1%}); worst tenant slowdown {result.worst_slowdown:.2f}x"
     )
     print(result.summary())
-    if args.jobs > 1 and result.parallel_disabled_reason:
-        print(f"note: --jobs {args.jobs} ran serially: "
-              f"{result.parallel_disabled_reason}")
     if args.check:
         print()
         print(
@@ -932,7 +912,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             queue_limit=args.queue_limit,
             default_deadline_s=args.deadline if args.deadline > 0 else None,
-            jobs=args.jobs,
             check=args.check,
             cache_entries=args.cache_entries,
             retry=RetryPolicy(
@@ -1070,9 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "envelope")
     fleet.add_argument("--cvar-alpha", type=float, default=0.25,
                        help="tail fraction for the CVaR fallback")
-    fleet.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the per-tenant planner "
-                            "runs (results are bit-identical for every N)")
+    _add_jobs_argument(fleet)
     fleet.add_argument("--check", action="store_true",
                        help="run the full invariant battery on every "
                             "tenant's contended timeline")
@@ -1094,9 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--deadline", type=float, default=30.0,
                      help="default per-request deadline in seconds for "
                           "requests that carry none (0 = unbounded)")
-    srv.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="planner fan-out width per request (as in "
-                          "'repro plan --jobs')")
+    _add_jobs_argument(srv)
     srv.add_argument("--check", action="store_true",
                      help="run the conformance invariant checker on every "
                           "timeline the planner materializes")
@@ -1199,6 +1174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 1) > 1:
+        print(f"note: --jobs {args.jobs} is {JOBS_HELP}")
     try:
         return args.func(args)
     except CLIConfigError as error:

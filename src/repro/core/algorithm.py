@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bubbles import DEFAULT_MIN_BUBBLE, tensors_before_bubbles
 from repro.core.options import CompressionOption, Device, canonical_key
-from repro.core.parallel import EvaluatorPool, best_priced, price_candidates
 from repro.core.plan import PlanCompiler
 from repro.core.strategy import CompressionStrategy, StrategyEvaluator
 from repro.core.tree import enumerate_options
@@ -37,10 +36,50 @@ from repro.core.tree import enumerate_options
 #: search sensitive to float noise and to which phase saw a move first.
 #: A candidate only displaces the incumbent when it improves the best
 #: time by more than this; exact ties among candidates break by
-#: canonical option key (see :func:`repro.core.parallel.best_priced`),
-#: so the selected strategy is independent of candidate enumeration
-#: order — the precondition for the deterministic parallel merge.
+#: canonical option key (see :func:`best_priced`), so the selected
+#: strategy is independent of candidate enumeration order.
 IMPROVEMENT_EPSILON = 1e-12
+
+#: A priced candidate: (trial iteration time, canonical option key,
+#: the option object).  Lists of these are what :func:`best_priced`
+#: orders.
+PricedOption = Tuple[float, int, CompressionOption]
+
+
+def best_priced(priced: Sequence[PricedOption]) -> PricedOption:
+    """The deterministic argmin: total order on (trial_time, key).
+
+    Exact time ties break toward the smaller canonical key, never
+    toward enumeration order.
+    """
+    return min(priced, key=lambda entry: (entry[0], entry[1]))
+
+
+def price_candidates(
+    evaluator: StrategyEvaluator,
+    base: CompressionStrategy,
+    index: int,
+    options: Sequence[CompressionOption],
+    bound: Optional[float] = None,
+) -> List[PricedOption]:
+    """Price every candidate for tensor ``index`` against ``base``.
+
+    Returns ``[(trial_time, canonical_key, option), ...]`` — the input
+    of :func:`best_priced`.  With ``bound`` given, candidates whose
+    sound lower bound reaches it are omitted from the result; callers
+    that only *accept* times strictly below ``bound`` (GetBestOption and
+    the refinement sweep, via ``best_time - IMPROVEMENT_EPSILON``) get a
+    bit-identical decision either way.
+    """
+    options = list(options)
+    if not options:
+        return []
+    times = evaluator.price_options(base, index, options, bound=bound)
+    return [
+        (trial_time, canonical_key(option), option)
+        for trial_time, option in zip(times, options)
+        if trial_time is not None
+    ]
 
 
 class ErrorBudget:
@@ -310,7 +349,6 @@ def gpu_compression_decision(
     min_bubble: float = DEFAULT_MIN_BUBBLE,
     prefilter_per_device: int = 3,
     prefilter: Optional[CandidatePrefilter] = None,
-    pool: Optional[EvaluatorPool] = None,
     error_budget: Optional[ErrorBudget] = None,
 ) -> GPUDecisionResult:
     """Run Algorithm 1 and return the GPU-compression strategy.
@@ -320,13 +358,10 @@ def gpu_compression_decision(
     A planner that runs several phases should build one
     :class:`CandidatePrefilter` and pass it as ``prefilter`` so the
     per-size filtering work is shared; when omitted, a private one is
-    built from ``candidates``/``prefilter_per_device``.  An active
-    ``pool`` prices each tensor's candidates on per-worker evaluator
-    replicas; the deterministic merge keeps the result bit-identical to
-    the serial run.  An ``error_budget`` filters each tensor's candidate
-    list to the options that keep the committed strategy's global
-    weighted error within budget; the filter is a pure function of the
-    committed strategy, so serial and parallel runs still agree bitwise.
+    built from ``candidates``/``prefilter_per_device``.  An
+    ``error_budget`` filters each tensor's candidate list to the options
+    that keep the committed strategy's global weighted error within
+    budget.
     """
     if prefilter is None:
         if candidates is None:
@@ -383,7 +418,6 @@ def gpu_compression_decision(
                 strategy,
                 index,
                 options,
-                pool=pool,
                 bound=best_time - IMPROVEMENT_EPSILON,
             )
             if priced:
@@ -409,7 +443,6 @@ def refinement_sweep(
     candidates: Sequence[CompressionOption],
     prefilter_per_device: int = 3,
     prefilter: Optional[CandidatePrefilter] = None,
-    pool: Optional[EvaluatorPool] = None,
     error_budget: Optional[ErrorBudget] = None,
 ) -> Tuple[CompressionStrategy, float, bool]:
     """One GetBestOption pass over *all* tensors in the final context.
@@ -470,7 +503,6 @@ def refinement_sweep(
                 strategy,
                 index,
                 options,
-                pool=pool,
                 bound=best_time - IMPROVEMENT_EPSILON,
             )
             if not priced:
@@ -535,8 +567,7 @@ def fusion_boundary_sweep(
     improving move under the deterministic total order
     ``(iteration_time, num_groups, boundaries)`` — the same
     :data:`IMPROVEMENT_EPSILON` acceptance as every other phase, so the
-    search stays enumeration-order independent and bit-identical across
-    ``--jobs`` widths (trials are priced by in-process evaluators).
+    search stays enumeration-order independent.
 
     ``options`` assigns one option per group of ``plan``.  Returns
     ``(plan, options, iteration_time, trials, accepts)``.
@@ -573,9 +604,7 @@ def fusion_boundary_sweep(
                 if key not in seen:
                     seen.add(key)
                     merged_candidates.append(option)
-            priced = price_candidates(
-                evaluator, base, g, merged_candidates, pool=None
-            )
+            priced = price_candidates(evaluator, base, g, merged_candidates)
             trials += 1
             if not priced:
                 continue

@@ -23,14 +23,7 @@ from repro.core.algorithm import (
     refinement_sweep,
 )
 from repro.core.offload import OffloadResult, cpu_offload_decision
-from repro.core.options import (
-    CompressionOption,
-    Device,
-    canonical_key,
-    ladder_options,
-    no_compression_option,
-)
-from repro.core.parallel import EvaluatorPool
+from repro.core.options import CompressionOption, Device, ladder_options
 from repro.core.presets import (
     double_compression_option,
     inter_allgather_option,
@@ -149,7 +142,6 @@ class Espresso:
         fast_eval: bool = True,
         check: bool = False,
         jobs: int = 1,
-        oversubscribe: bool = False,
         ratios: Optional[Sequence[float]] = None,
         error_budget: Optional[float] = None,
     ):
@@ -179,18 +171,8 @@ class Espresso:
         check: run the simulator conformance invariant checker on every
             timeline the planner materializes (``plan --check``); any
             violation raises instead of producing a silently wrong plan.
-        jobs: worker-pool width for candidate pricing (``--jobs N``).
-            ``1`` (the default) runs fully in-process; ``N > 1`` fans
-            GetBestOption's per-tensor candidate pricing out to N
-            worker processes holding evaluator replicas.  The width is
-            clamped to the host's core count (extra processes on a
-            smaller machine would only add overhead).  The selected
-            strategy and iteration time are bit-identical for every N
-            (the deterministic fan-out/merge of DESIGN.md §5.5).
-        oversubscribe: skip the core-count clamp and spawn the full
-            ``jobs`` processes even on a smaller host.  The parallel
-            equivalence tests use this to exercise the real
-            multi-process merge path on any machine.
+        jobs: accepted for compatibility and ignored; planning runs
+            in one process (DESIGN.md §5.5).
         ratios: per-tensor compression-ratio ladder (``plan --ratios``).
             When the job's compressor exposes a ``ratio`` knob, every
             compressing candidate is expanded into ratio-pinned
@@ -205,8 +187,6 @@ class Espresso:
             greedily — see :class:`~repro.core.algorithm.ErrorBudget`).
         """
         self.job = job
-        self.jobs = max(1, int(jobs))
-        self.oversubscribe = oversubscribe
         self.evaluator = StrategyEvaluator(job, fast=fast_eval, check=check)
         # The uniform-strategy portfolio uses the preset pipelines, which
         # only makes sense for the full default search space; a caller
@@ -255,53 +235,10 @@ class Espresso:
         self.refinement_sweeps = refinement_sweeps
         self.min_sweep_improvement = min_sweep_improvement
 
-    def _pool_vocab(self) -> List[CompressionOption]:
-        """Every option value the planner can assign during selection:
-        the candidate set, the FP32 option, and the portfolio presets.
-        Worker tasks encode strategies as positions into this list."""
-        vocab: List[CompressionOption] = []
-        seen = set()
-        extras = [no_compression_option()]
-        for builder in (
-            inter_allgather_option,
-            inter_alltoall_option,
-            double_compression_option,
-        ):
-            for device in (Device.GPU, Device.CPU):
-                extras.append(builder(device))
-        for option in [*self.candidates, *extras]:
-            key = canonical_key(option)
-            if key not in seen:
-                seen.add(key)
-                vocab.append(option)
-        return vocab
-
-    def _make_pool(self) -> Optional[EvaluatorPool]:
-        if self.jobs <= 1:
-            return None
-        return EvaluatorPool(
-            self.jobs,
-            job=self.job,
-            fast=self.evaluator.fast,
-            check=self.evaluator.check,
-            vocab=self._pool_vocab(),
-            oversubscribe=self.oversubscribe,
-        )
-
-    def select_strategy(self) -> EspressoResult:
-        """Run Algorithm 1 + Algorithm 2 and return the decision."""
-        pool = self._make_pool()
-        try:
-            return self._select_strategy(pool)
-        finally:
-            if pool is not None:
-                pool.close()
-
     def _run_pipeline(
         self,
-        pool: Optional[EvaluatorPool],
-        candidates: Sequence[CompressionOption],
         prefilter: CandidatePrefilter,
+        candidates: Sequence[CompressionOption],
     ) -> "_PipelineOutcome":
         """Algorithm 1 + Algorithm 2 + portfolio seed + sweeps over one
         candidate set.  The laddered and fixed-ratio pipelines both run
@@ -314,7 +251,6 @@ class Espresso:
             candidates=candidates,
             prefilter_per_device=self.prefilter_per_device,
             prefilter=prefilter,
-            pool=pool,
             error_budget=self._error_budget,
         )
         gpu_seconds = time.perf_counter() - start
@@ -370,7 +306,6 @@ class Espresso:
                 candidates,
                 prefilter_per_device=self.prefilter_per_device,
                 prefilter=prefilter,
-                pool=pool,
                 error_budget=self._error_budget,
             )
             sweeps_run += 1
@@ -407,21 +342,15 @@ class Espresso:
             portfolio_seeded=portfolio_seeded,
         )
 
-    def _select_strategy(self, pool: Optional[EvaluatorPool]) -> EspressoResult:
+    def select_strategy(self) -> EspressoResult:
+        """Run Algorithm 1 + Algorithm 2 and return the decision."""
         # Algorithm 1 starts from the FP32 baseline, so pricing it is
         # Algorithm 1 time.
         start = time.perf_counter()
         baseline_time = self.evaluator.iteration_time(self.evaluator.baseline())
         baseline_seconds = time.perf_counter() - start
-        stats = self.evaluator.stats
-        stats.parallel_requested = self.jobs
-        stats.parallel_jobs = (
-            pool.jobs if pool is not None and pool.active else 1
-        )
-        if pool is not None:
-            stats.parallel_disabled_reason = pool.disabled_reason
 
-        chosen = self._run_pipeline(pool, self.candidates, self.prefilter)
+        chosen = self._run_pipeline(self.prefilter, self.candidates)
         fixed: Optional[_PipelineOutcome] = None
         if self.ratio_laddered:
             # Portfolio guarantee: also run the fixed-ratio pipeline
@@ -429,7 +358,7 @@ class Espresso:
             # better result — fixed wins ties, so enabling the ladder
             # can never select a worse plan than leaving it off.
             fixed = self._run_pipeline(
-                pool, self._fixed_candidates, self._fixed_prefilter
+                self._fixed_prefilter, self._fixed_candidates
             )
             winner = (
                 chosen
@@ -454,12 +383,6 @@ class Espresso:
             strategy_error = ErrorBudget(self.evaluator, 1.0).strategy_error(
                 chosen.strategy
             )
-
-        # Final honest parallel accounting: the pool may have degraded
-        # (or been clamped) after the initial snapshot above.
-        if pool is not None:
-            stats.parallel_jobs = pool.jobs if pool.active else 1
-            stats.parallel_disabled_reason = pool.disabled_reason
 
         gpu_seconds = baseline_seconds + chosen.gpu_seconds
         return EspressoResult(

@@ -50,7 +50,6 @@ from repro.cluster.tenancy import (
     link_load,
 )
 from repro.config import JobConfig
-from repro.core.parallel import WorkerPool, WorkerPoolError, plan_member_task
 from repro.core.robust import (
     CVAR,
     DegradationTable,
@@ -106,37 +105,9 @@ def _install_cancel(planner, cancel_check) -> None:
 def _plan_jobs(
     member_jobs: Sequence[JobConfig],
     planner_factory: Optional[PlannerFactory],
-    jobs: int,
-    oversubscribe: bool,
     cancel_check,
-) -> Tuple[List[CompressionStrategy], Optional[str]]:
-    """One full planner run per member job, fanned out when asked.
-
-    With the stock planner and ``jobs > 1`` the members ship to a
-    worker pool (one serial planner run per process, exactly what the
-    serial loop does), so the strategies are bit-identical for every
-    width; the second element reports why a requested fan-out ran
-    serially (None when it fanned out or was never requested).
-    """
-    stock = planner_factory is None
-    disabled_reason: Optional[str] = None
-    if stock and jobs > 1 and len(member_jobs) > 1:
-        with WorkerPool(jobs, oversubscribe=oversubscribe) as pool:
-            if pool.active:
-                try:
-                    member_options = pool.run(
-                        plan_member_task, list(member_jobs)
-                    )
-                    return (
-                        [
-                            CompressionStrategy(options=tuple(options))
-                            for options in member_options
-                        ],
-                        pool.disabled_reason,
-                    )
-                except WorkerPoolError:
-                    pass
-            disabled_reason = pool.disabled_reason
+) -> List[CompressionStrategy]:
+    """One full planner run per member job, in member order."""
     if planner_factory is None:
         from repro.core.espresso import Espresso  # circular-import guard
 
@@ -148,7 +119,7 @@ def _plan_jobs(
         planner = planner_factory(job)
         _install_cancel(planner, cancel_check)
         strategies.append(planner.select_strategy().strategy)
-    return strategies, disabled_reason
+    return strategies
 
 
 # -- the one-shot contention evaluation ------------------------------------
@@ -278,7 +249,6 @@ class FleetPlanResult:
     aggregate_throughput: float
     selfish_aggregate_throughput: float
     timelines_checked: int
-    parallel_disabled_reason: Optional[str]
     plan_seconds: float
 
     def tenant(self, name: str) -> TenantPlan:
@@ -328,8 +298,6 @@ def plan_fleet(
     min_share: float = MIN_BANDWIDTH_SHARE,
     cvar_alpha: float = 0.25,
     check: bool = False,
-    jobs: int = 1,
-    oversubscribe: bool = False,
     cancel_check=None,
 ) -> FleetPlanResult:
     """Jointly plan every tenant of ``fleet`` against shared-link contention.
@@ -347,8 +315,6 @@ def plan_fleet(
         min_share: bandwidth-share floor of the contention projection.
         check: run the unmodified invariant battery on every contended
             timeline of both the joint and the selfish evaluation.
-        jobs: worker-pool width for the per-tenant planner runs; the
-            assignment is bit-identical for every width.
         cancel_check: cooperative-cancellation seam (the service's
             deadline token), called between planner runs and installed
             on every evaluator.
@@ -360,10 +326,9 @@ def plan_fleet(
     jobs_by_name = fleet.jobs()
     member_jobs = [jobs_by_name[name] for name in names]
 
-    selfish_list, disabled_reason = _plan_jobs(
-        member_jobs, planner_factory, jobs, oversubscribe, cancel_check
+    selfish = dict(
+        zip(names, _plan_jobs(member_jobs, planner_factory, cancel_check))
     )
-    selfish = dict(zip(names, selfish_list))
 
     current = dict(selfish)
     sources = {name: SOURCE_JOINT for name in names}
@@ -388,12 +353,9 @@ def plan_fleet(
             evaluation.models[name].apply_to_job(jobs_by_name[name])
             for name in names
         ]
-        next_list, reason = _plan_jobs(
-            perturbed_jobs, planner_factory, jobs, oversubscribe, cancel_check
+        next_assignment = dict(
+            zip(names, _plan_jobs(perturbed_jobs, planner_factory, cancel_check))
         )
-        if disabled_reason is None:
-            disabled_reason = reason
-        next_assignment = dict(zip(names, next_list))
         next_sig = _signature(names, next_assignment)
         if next_sig == _signature(names, current):
             converged = True
@@ -419,8 +381,6 @@ def plan_fleet(
                 objective=CVAR,
                 cvar_alpha=cvar_alpha,
                 planner_factory=planner_factory,
-                jobs=jobs,
-                oversubscribe=oversubscribe,
             )
             current[name] = result.strategy
             sources[name] = SOURCE_CVAR
@@ -466,7 +426,6 @@ def plan_fleet(
         aggregate_throughput=final_eval.aggregate_throughput,
         selfish_aggregate_throughput=selfish_eval.aggregate_throughput,
         timelines_checked=checked,
-        parallel_disabled_reason=disabled_reason,
         plan_seconds=time.perf_counter() - start,
     )
 

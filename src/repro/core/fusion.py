@@ -315,9 +315,7 @@ class FusionPlanner:
     :func:`~repro.core.algorithm.fusion_boundary_sweep` (the refined
     plan re-enters the portfolio as one more fully-planned candidate),
     and picks the winner under ``(iteration_time, num_groups,
-    boundaries)``.  The outer loop is serial and every inner Espresso
-    run is bit-identical across ``--jobs`` widths, so the joint search
-    inherits the planner's parallel determinism guarantee.
+    boundaries)``.
 
     Pass ``plan`` to pin the boundaries (e.g. from a loaded
     :class:`PlanArtifact`): only that plan is priced, with no boundary
@@ -329,16 +327,15 @@ class FusionPlanner:
         job: JobConfig,
         jobs: int = 1,
         check: bool = False,
-        oversubscribe: bool = False,
         plan: Optional[FusionPlan] = None,
         refinement_sweeps: int = 2,
         ratios: Optional[Sequence[float]] = None,
         error_budget: Optional[float] = None,
     ):
+        # ``jobs`` is accepted for compatibility and ignored: planning
+        # runs in one process.
         self.job = job
-        self.jobs = max(1, int(jobs))
         self.check = check
-        self.oversubscribe = oversubscribe
         self.ratios = tuple(ratios) if ratios else None
         self.error_budget = error_budget
         if plan is not None and plan.num_tensors != job.model.num_tensors:
@@ -353,9 +350,7 @@ class FusionPlanner:
     def _plan_candidate(self, name: str, plan: FusionPlan) -> FusionCandidate:
         result = Espresso(
             fused_job(self.job, plan),
-            jobs=self.jobs,
             check=self.check,
-            oversubscribe=self.oversubscribe,
             ratios=self.ratios,
             error_budget=self.error_budget,
         ).select_strategy()

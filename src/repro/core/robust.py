@@ -31,12 +31,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
 from repro.core.options import Device
-from repro.core.parallel import (
-    WorkerPool,
-    WorkerPoolError,
-    plan_member_task,
-    sweep_member_task,
-)
 from repro.core.presets import (
     double_compression_option,
     inter_allgather_option,
@@ -128,10 +122,6 @@ class SensitivityReport:
     fault_names: Tuple[str, ...]
     strategies: Tuple[StrategySensitivity, ...]
     timelines_checked: int = 0
-    #: Why a ``jobs > 1`` sweep ran serially (core clamp, broken pool),
-    #: or None when it fanned out / parallelism was never requested.
-    #: ``repro faults`` prints it so a silently-serial sweep is visible.
-    parallel_disabled_reason: Optional[str] = None
 
     def strategy(self, name: str) -> StrategySensitivity:
         for entry in self.strategies:
@@ -140,51 +130,11 @@ class SensitivityReport:
         raise KeyError(name)
 
 
-def _sweep_members_parallel(
-    job: JobConfig,
-    strategies: Sequence[Tuple[str, CompressionStrategy]],
-    ensemble: Sequence[FaultModel],
-    check: bool,
-    jobs: int,
-    oversubscribe: bool,
-) -> Tuple[Optional[List], Optional[str]]:
-    """Fan the per-member pricing out to a worker pool.
-
-    Returns ``(results, disabled_reason)``: the ordered per-member
-    results of :func:`~repro.core.parallel.sweep_member_task`, or
-    ``None`` with the pool's reason when it ran (or fell back) serially.
-    Each member's prices are computed by exactly one process with its
-    own evaluator, so the values are identical to the serial loop's.
-    """
-    if jobs <= 1 or len(ensemble) <= 1:
-        return None, None
-    named_options = [
-        (name, strategy.options) for name, strategy in strategies
-    ]
-    tasks = [
-        (
-            job if fault_model.is_nominal else fault_model.apply_to_job(job),
-            check,
-            named_options,
-        )
-        for fault_model in ensemble
-    ]
-    with WorkerPool(jobs, oversubscribe=oversubscribe) as pool:
-        if not pool.active:
-            return None, pool.disabled_reason
-        try:
-            return pool.run(sweep_member_task, tasks), pool.disabled_reason
-        except WorkerPoolError:
-            return None, pool.disabled_reason
-
-
 def sensitivity_sweep(
     job: JobConfig,
     strategies: Sequence[Tuple[str, CompressionStrategy]],
     ensemble: Optional[Sequence[FaultModel]] = None,
     check: bool = False,
-    jobs: int = 1,
-    oversubscribe: bool = False,
 ) -> SensitivityReport:
     """Evaluate ``strategies`` on every ensemble member of ``job``.
 
@@ -192,9 +142,6 @@ def sensitivity_sweep(
     ``check=True`` every faulted timeline additionally runs the full
     invariant battery (raising
     :class:`~repro.sim.validate.ConformanceError` on any violation).
-    With ``jobs > 1`` the ensemble members are priced by a worker pool,
-    one member per task — the report is identical to the serial sweep
-    (each member is still priced by a single evaluator).
     """
     if ensemble is None:
         ensemble = default_ensemble()
@@ -208,30 +155,19 @@ def sensitivity_sweep(
     nominal: Dict[str, float] = {}
     nominal_evaluator = StrategyEvaluator(job, check=check)
     checked = 0
-    member_results, disabled_reason = _sweep_members_parallel(
-        job, strategies, ensemble, check, jobs, oversubscribe
-    )
-    if member_results is not None:
-        for fault_model, (member_times, member_checked) in zip(
-            ensemble, member_results
-        ):
-            for name, value in member_times:
-                times[name].append((fault_model.name, value))
-            checked += member_checked
-    else:
-        for fault_model in ensemble:
-            if fault_model.is_nominal:
-                evaluator = nominal_evaluator
-            else:
-                evaluator = StrategyEvaluator(
-                    fault_model.apply_to_job(job), check=check
-                )
-            for name, strategy in strategies:
-                value = evaluator.iteration_time(strategy)
-                if check:
-                    evaluator.timeline(strategy)
-                times[name].append((fault_model.name, value))
-            checked += evaluator.timelines_checked
+    for fault_model in ensemble:
+        if fault_model.is_nominal:
+            evaluator = nominal_evaluator
+        else:
+            evaluator = StrategyEvaluator(
+                fault_model.apply_to_job(job), check=check
+            )
+        for name, strategy in strategies:
+            value = evaluator.iteration_time(strategy)
+            if check:
+                evaluator.timeline(strategy)
+            times[name].append((fault_model.name, value))
+        checked += evaluator.timelines_checked
     for name, strategy in strategies:
         nominal[name] = nominal_evaluator.iteration_time(strategy)
     return SensitivityReport(
@@ -245,7 +181,6 @@ def sensitivity_sweep(
             for name, _ in strategies
         ),
         timelines_checked=checked,
-        parallel_disabled_reason=disabled_reason,
     )
 
 
@@ -338,8 +273,6 @@ def robust_select(
     cvar_alpha: float = 0.25,
     planner_factory: Optional[Callable[[JobConfig], object]] = None,
     check: bool = False,
-    jobs: int = 1,
-    oversubscribe: bool = False,
 ) -> RobustPlanResult:
     """Select the strategy minimizing a robust objective over ``ensemble``.
 
@@ -354,14 +287,6 @@ def robust_select(
         planner_factory: ``job -> planner`` override (tests inject a
             cheaper configuration); defaults to
             :class:`~repro.core.espresso.Espresso` with stock settings.
-        jobs: worker-pool width.  With the stock planner the per-member
-            planner runs fan out one member per process, and the final
-            sensitivity sweep prices members in parallel; a custom
-            ``planner_factory`` keeps the planner runs in-process (the
-            factory need not be picklable) but still parallelizes the
-            sweep.  Results are identical for every width.
-        oversubscribe: skip the worker pools' core-count clamp (see
-            :class:`~repro.core.parallel.WorkerPool`).
     """
     from repro.core.espresso import Espresso  # circular-import guard
 
@@ -370,7 +295,6 @@ def robust_select(
     if not ensemble:
         raise ValueError("ensemble must have at least one member")
     score = _objective_fn(objective, cvar_alpha)
-    stock_planner = planner_factory is None
     if planner_factory is None:
         planner_factory = Espresso
 
@@ -380,40 +304,16 @@ def robust_select(
     candidates: List[Tuple[str, CompressionStrategy]] = [
         ("espresso-nominal", default_strategy)
     ]
-    perturbed_members = [
-        fault_model for fault_model in ensemble if not fault_model.is_nominal
-    ]
-    member_options = None
-    if stock_planner and jobs > 1 and len(perturbed_members) > 1:
-        with WorkerPool(jobs, oversubscribe=oversubscribe) as pool:
-            if pool.active:
-                try:
-                    member_options = pool.run(
-                        plan_member_task,
-                        [
-                            fault_model.apply_to_job(job)
-                            for fault_model in perturbed_members
-                        ],
-                    )
-                except WorkerPoolError:
-                    member_options = None
-    if member_options is not None:
-        for fault_model, options in zip(perturbed_members, member_options):
-            candidates.append(
-                (
-                    f"espresso-{fault_model.name}",
-                    CompressionStrategy(options=tuple(options)),
-                )
+    for fault_model in ensemble:
+        if fault_model.is_nominal:
+            continue
+        perturbed = fault_model.apply_to_job(job)
+        candidates.append(
+            (
+                f"espresso-{fault_model.name}",
+                planner_factory(perturbed).select_strategy().strategy,
             )
-    else:
-        for fault_model in perturbed_members:
-            perturbed = fault_model.apply_to_job(job)
-            candidates.append(
-                (
-                    f"espresso-{fault_model.name}",
-                    planner_factory(perturbed).select_strategy().strategy,
-                )
-            )
+        )
     candidates.extend(_portfolio_candidates(job.model.num_tensors))
 
     # Deduplicate by fingerprint, keeping first names (planner-derived
@@ -427,14 +327,7 @@ def robust_select(
         seen.add(fp)
         unique.append((name, strategy))
 
-    report = sensitivity_sweep(
-        job,
-        unique,
-        ensemble=ensemble,
-        check=check,
-        jobs=jobs,
-        oversubscribe=oversubscribe,
-    )
+    report = sensitivity_sweep(job, unique, ensemble=ensemble, check=check)
 
     def entry_key(entry: StrategySensitivity) -> Tuple[float, float, str]:
         return (

@@ -6,18 +6,18 @@ derives the full iteration timeline of a strategy with the empirical
 models — computing F(S), the iteration time — which is the primitive the
 decision algorithm minimizes.
 
-The evaluator owns a *fast evaluation layer* (DESIGN.md §5.2): F(S)
-results are memoized under a canonical strategy fingerprint, and
+The evaluator owns a *fast evaluation layer* (DESIGN.md §5.2):
 candidates that differ from a resident base strategy in one or a few
 tensors are priced by :class:`~repro.sim.incremental.IncrementalSimulator`
 — a delta-simulation that reuses the deterministic event prefix of the
-base run instead of replaying from t=0.  Both are exact: results are
-bit-identical to the full simulation, only cheaper.
+base run instead of replaying from t=0 — and memoized against that base
+until the next rebase.  Both are exact: results are bit-identical to the
+full simulation, only cheaper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
@@ -39,6 +39,10 @@ from repro.sim.stages import RESOURCES, TensorChain, compute_stage
 #: Resource-name -> index mapping in the simulator's RESOURCES order,
 #: used to pre-flatten chains for IncrementalSimulator.swap_chains_flat.
 _RES_INDEX = {name: i for i, name in enumerate(RESOURCES)}
+
+#: One tensor's compiled chain in the evaluator's cache: ``(chain key,
+#: resource indices, durations)``.
+ChainEntry = Tuple[int, Tuple[int, ...], Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class CompressionStrategy:
         ]
 
     def fingerprint(self) -> Tuple[int, ...]:
-        """Canonical per-tensor option keys — the F(S) memo-cache key.
+        """Canonical per-tensor option keys — the strategy's identity.
 
         Built from :func:`~repro.core.options.canonical_key`, so two
         strategies that assign value-equal options to every tensor share
@@ -111,7 +115,7 @@ class CompressionStrategy:
 
     def __getstate__(self) -> dict:
         # The cached fingerprint is a tuple of process-local canonical
-        # keys (see options.canonical_key); a worker process must
+        # keys (see options.canonical_key); another process must
         # recompute it against its own interning table, so strip it
         # before pickling.
         state = dict(self.__dict__)
@@ -298,17 +302,13 @@ class EvaluatorStats:
         offload_trials: F(S) evaluations the runs made, the base
             included; a run that priced every count vector adds its
             combinations.
-        parallel_jobs: effective worker-pool width (after the core-count
-            clamp and any mid-run pool failure; 1 = serial).
-        parallel_requested: the width the caller asked for (``--jobs``).
-        parallel_disabled_reason: why the pool ran serially or shut
-            down, when it did (``None`` while the pool is healthy).
-        parallel_tasks: fan-out tasks shipped to the worker pool.
-        fanout_seconds: wall-clock spent waiting on fanned-out pricing.
-        merge_seconds: wall-clock spent decoding/merging worker results.
-        worker_evaluations: F(S) evaluations performed per worker process
-            (keyed by worker pid as a string; these are *not* folded into
-            ``fs_calls``, which describes this process's own evaluator).
+        parallel_jobs, parallel_tasks, fanout_seconds, merge_seconds:
+            always 1, 0, 0.0 and 0.0.  They described a process pool
+            that priced candidates in worker processes; planning now
+            runs in one process, and the fields stay because the
+            planner benchmark's stats readers
+            (``benchmarks/suite/spans.py``, ``child.py``) still read
+            them.
     """
 
     fs_calls: int = 0
@@ -330,27 +330,21 @@ class EvaluatorStats:
     offload_combinations: int = 0
     offload_trials: int = 0
     parallel_jobs: int = 1
-    parallel_requested: int = 1
-    parallel_disabled_reason: Optional[str] = None
     parallel_tasks: int = 0
     fanout_seconds: float = 0.0
     merge_seconds: float = 0.0
-    worker_evaluations: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of F(S) requests answered without any simulation.
 
-        That is the documented semantics this metric always claimed, and
-        since the batch pricing layer it takes three counters to honour
-        it: memo/resident hits (``cache_hits``), candidates answered by
-        a chain-identical sibling in the same call
-        (``batch_dedup_hits``), and candidates a sound lower bound
+        It takes three counters: memo/resident hits (``cache_hits``),
+        candidates answered by a chain-identical sibling in the same
+        call (``batch_dedup_hits``), and candidates a sound lower bound
         proved irrelevant (``batch_pruned``).  Counting memo hits alone
-        collapses on deep homogeneous models — the memo key is the
-        full-length chain fingerprint, so any accepted decision
-        invalidates every memoized trial, while dedup and pruning (the
-        mechanisms that actually replaced those reuses) still answer
+        collapses on deep homogeneous models — the memo lives only as
+        long as its resident base, so every accepted decision (a
+        rebase) empties it, while dedup and pruning still answer
         20-40% of requests simulation-free.  ``memo_hit_rate`` keeps
         the narrow metric.
         """
@@ -380,9 +374,7 @@ class EvaluatorStats:
 
     def snapshot(self) -> "EvaluatorStats":
         """An independent copy (results keep a frozen-in-time view)."""
-        snap = replace(self)
-        snap.worker_evaluations = dict(self.worker_evaluations)
-        return snap
+        return replace(self)
 
 
 class StrategyEvaluator:
@@ -419,8 +411,10 @@ class StrategyEvaluator:
             cpu=job.system.cpu,
         )
         self._cpu_capacity = job.system.cpu.parallel_workers
-        self._chain_cache: Dict[Tuple[int, int], TensorChain] = {}
-        self._flat_cache: Dict[Tuple[int, int], Tuple[List[int], List[float]]] = {}
+        #: Each tensor's backprop compute stage, shared by its chains.
+        self._compute_stages = [
+            compute_stage(tensor.compute_time) for tensor in self.model.tensors
+        ]
         self.fast = fast
         self.check = check
         self.timelines_checked = 0
@@ -436,154 +430,161 @@ class StrategyEvaluator:
         #: attribute test per call.
         self.cancel_check: Optional[Callable[[], None]] = None
         self.stats = EvaluatorStats()
-        #: Memoized makespans keyed by *chain* fingerprint — the tuple
-        #: of per-tensor stage-chain keys (see :meth:`_chain_key`).
-        #: Coarser than the option fingerprint, and provably safe: the
-        #: makespan is a function of the stage chains and the resource
-        #: capacities alone, so option values that compile to identical
-        #: chains (e.g. the same pipeline reached through different
-        #: option fields) share one memo entry.  Residency
-        #: (``_inc_fp``) and timelines stay keyed by *option*
-        #: fingerprint — stage kinds/labels can differ between
-        #: chain-equal options and timelines expose them.
+        #: (canonical option key, tensor index) -> ``(chain key,
+        #: resources, durations)``: the tensor's stage chain as the
+        #: parallel tuples :meth:`IncrementalSimulator.swap_chains_flat`
+        #: consumes, plus its interned chain key (equal iff the
+        #: flattened chains are equal).  Keyed on the canonical *value*
+        #: key, not ``id(option)``, so a recycled ``id()`` can never
+        #: alias a stale chain.
+        self._chain_entries: Dict[Tuple[int, int], ChainEntry] = {}
+        #: Interning table: (resources, durations) -> the one shared
+        #: :data:`ChainEntry` for that chain.  Evaluator-local on
+        #: purpose — chain keys depend on this job's compiled stage
+        #: durations, so they must never be cached on (shared) strategy
+        #: or option objects.
+        self._chain_sig_intern: Dict[tuple, ChainEntry] = {}
+        #: The F(S) memo of the resident base: makespans keyed by the
+        #: ``(tensor index, chain key)`` pairs a trial changes, flattened
+        #: in ascending index order.  The key says nothing about the
+        #: tensors the trial keeps, so it is only valid against the base
+        #: it was priced on and a rebase drops it (:meth:`_rebase` keeps
+        #: the few entries that stay trials of the new base).  Keying by
+        #: chain key rather than option key is safe — the makespan is a
+        #: function of the stage chains and the resource capacities
+        #: alone — and lets chain-equal option values share an entry.
         self._memo: Dict[Tuple[int, ...], float] = {}
-        #: Sound lower bounds on makespans, keyed like ``_memo``.  When
-        #: the batch pricer's suffix bound eliminates a candidate it
-        #: learned ``makespan(trial) >= lb`` — a fact about the trial's
-        #: *full chain fingerprint*, so it stays true across rebases and
-        #: sweeps.  Refinement sweeps re-price the same (base, index)
-        #: candidate sets between accepted changes; consulting the
-        #: stored bound answers those repeats from the memo instead of
-        #: re-deriving the bound, which is what restored the memo hit
-        #: rate on deep homogeneous models (it had collapsed to ~0
-        #: because only *priced* candidates ever reached ``_memo``).
-        self._lb_memo: Dict[Tuple[int, ...], float] = {}
-        #: Interning table: (resource tuple, duration tuple) -> chain key.
-        #: Evaluator-local on purpose — chain keys depend on this job's
-        #: compiled stage durations, so they must never be cached on
-        #: (shared) strategy or option objects.
-        self._chain_sig_intern: Dict[tuple, int] = {}
-        self._chain_key_cache: Dict[Tuple[int, int], int] = {}
         self._inc: Optional[IncrementalSimulator] = None
+        #: The resident base's stage chains, option fingerprint
+        #: (residency, timelines) and chain keys (the reference the memo
+        #: keys diff against).
+        self._inc_chains: List[TensorChain] = []
         self._inc_fp: Optional[Tuple[int, ...]] = None
         self._inc_cfp: Optional[Tuple[int, ...]] = None
 
     # -- chain construction ---------------------------------------------
 
     def _chain(self, index: int, option: CompressionOption) -> TensorChain:
-        """The stage chain of tensor ``index`` under ``option``, cached
-        per (canonical option key, tensor) pair.
+        """The stage chain of tensor ``index`` under ``option``.
 
-        Keying on the canonical *value* key (not ``id(option)``) means a
-        garbage-collected trial option whose ``id()`` gets recycled can
-        never alias a stale chain.
+        Built on demand (a rebase, a checked timeline, a from-scratch
+        run); the compiler caches the stages, and the pricing hot path
+        reads :meth:`_chain_entry` instead.
         """
+        return TensorChain(
+            tensor_index=index,
+            stages=[
+                self._compute_stages[index],
+                *self.compiler.stages(
+                    option, self.model.tensors[index].num_elements
+                ),
+            ],
+        )
+
+    def _chain_entry(self, index: int, option: CompressionOption) -> ChainEntry:
+        """Tensor ``index``'s ``(chain key, resources, durations)`` under
+        ``option``.  Two option values with different canonical keys can
+        share a chain key — that is the point (see ``_memo``)."""
         key = (canonical_key(option), index)
-        chain = self._chain_cache.get(key)
-        if chain is None:
-            tensor = self.model.tensors[index]
-            chain = TensorChain(
-                tensor_index=index,
-                stages=[
-                    compute_stage(tensor.compute_time),
-                    *self.compiler.stages(option, tensor.num_elements),
-                ],
+        entry = self._chain_entries.get(key)
+        if entry is None:
+            stages = self._chain(index, option).stages
+            signature = (
+                tuple(_RES_INDEX[stage.resource] for stage in stages),
+                tuple(stage.duration for stage in stages),
             )
-            self._chain_cache[key] = chain
-        return chain
+            entry = self._chain_sig_intern.get(signature)
+            if entry is None:
+                entry = (len(self._chain_sig_intern), *signature)
+                self._chain_sig_intern[signature] = entry
+            self._chain_entries[key] = entry
+        return entry
 
     def _flat_chain(
         self, index: int, option: CompressionOption
-    ) -> Tuple[List[int], List[float]]:
+    ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
         """Tensor ``index``'s chain under ``option`` as parallel
-        (resource index, duration) lists — the form
-        :meth:`IncrementalSimulator.swap_chains_flat` consumes without
-        touching Stage objects in the hot loop."""
-        key = (canonical_key(option), index)
-        entry = self._flat_cache.get(key)
-        if entry is None:
-            stages = self._chain(index, option).stages
-            entry = (
-                [_RES_INDEX[s.resource] for s in stages],
-                [s.duration for s in stages],
-            )
-            self._flat_cache[key] = entry
-        return entry
+        (resource index, duration) tuples."""
+        return self._chain_entry(index, option)[1:]
 
     def _chains(self, strategy: CompressionStrategy) -> List[TensorChain]:
         """Per-tensor stage chains for a whole strategy."""
-        if len(strategy) != self.model.num_tensors:
-            raise ValueError(
-                f"strategy covers {len(strategy)} tensors, "
-                f"model has {self.model.num_tensors}"
-            )
+        self._check_length(strategy)
         return [
             self._chain(index, option)
             for index, option in enumerate(strategy.options)
         ]
 
-    # -- fast evaluation layer ------------------------------------------
-
-    def _chain_key(self, index: int, option: CompressionOption) -> int:
-        """The interned key of tensor ``index``'s stage chain under
-        ``option``: equal iff the flattened (resources, durations) chains
-        are equal.  Two option values with different canonical keys can
-        share a chain key — that is the point (see ``_memo``)."""
-        key = (canonical_key(option), index)
-        chain_key = self._chain_key_cache.get(key)
-        if chain_key is None:
-            res, dur = self._flat_chain(index, option)
-            signature = (tuple(res), tuple(dur))
-            chain_key = self._chain_sig_intern.setdefault(
-                signature, len(self._chain_sig_intern)
-            )
-            self._chain_key_cache[key] = chain_key
-        return chain_key
-
-    def _chain_fingerprint(
-        self, strategy: CompressionStrategy
-    ) -> Tuple[int, ...]:
-        """The strategy's chain fingerprint — the F(S) memo key."""
+    def _check_length(self, strategy: CompressionStrategy) -> None:
         if len(strategy) != self.model.num_tensors:
             raise ValueError(
                 f"strategy covers {len(strategy)} tensors, "
                 f"model has {self.model.num_tensors}"
             )
-        return tuple(
-            self._chain_key(index, option)
-            for index, option in enumerate(strategy.options)
-        )
+
+    # -- fast evaluation layer ------------------------------------------
 
     def _rebase(self, fingerprint: Tuple[int, ...], strategy: CompressionStrategy) -> None:
-        """Make ``strategy`` the resident base of the incremental engine."""
+        """Make ``strategy`` the resident base of the incremental engine.
+
+        The memo's keys are relative to the base's chains, so unless the
+        chains are unchanged the memo is rebuilt.  It keeps only the
+        trials confined to the tensors the rebase changed, re-keyed, and
+        the old base itself: each is a trial of the new base too.  They
+        answer a decision that re-prices or reverts what the rebase
+        changed (a refinement sweep revisiting the tensor it just
+        moved); every other entry is dropped.
+        """
         self.stats.rebases += 1
         self.stats.full_sims += 1
+        previous, previous_cfp = self._inc, self._inc_cfp
+        if previous is None:
+            chains = self._chains(strategy)
+        else:
+            # A rebase changes few tensors; the rest keep their chains.
+            self._check_length(strategy)
+            chains = [
+                chain if key == old_key else self._chain(index, option)
+                for index, (option, key, old_key, chain) in enumerate(
+                    zip(strategy.options, fingerprint, self._inc_fp,
+                        self._inc_chains)
+                )
+            ]
         self._inc = IncrementalSimulator(
-            self._chains(strategy),
-            cpu_capacity=self._cpu_capacity,
-            stats=self.stats,
+            chains, cpu_capacity=self._cpu_capacity, stats=self.stats
         )
+        self._inc_chains = chains
         self._inc_fp = fingerprint
-        self._inc_cfp = self._chain_fingerprint(strategy)
-        self._memo[self._inc_cfp] = self._inc.base_makespan
-
-    def _fast_makespan(
-        self, fingerprint: Tuple[int, ...], strategy: CompressionStrategy
-    ) -> float:
-        """Makespan via the resident incremental base (rebasing if none)."""
-        if self._inc is None:
-            self._rebase(fingerprint, strategy)
-            return self._inc.base_makespan
-        base_fp = self._inc_fp
-        replacements = [
-            (i, *self._flat_chain(i, strategy.options[i]))
-            for i in range(len(fingerprint))
-            if fingerprint[i] != base_fp[i]
-        ]
-        if not replacements:
-            return self._inc.base_makespan
-        self.stats.incremental_sims += 1
-        return self._inc.swap_chains_flat(replacements)
+        self._inc_cfp = cfp = tuple(
+            self._chain_entry(index, option)[0]
+            for index, option in enumerate(strategy.options)
+        )
+        if cfp == previous_cfp:
+            return
+        memo: Dict[Tuple[int, ...], float] = {}
+        if previous is not None:
+            changed = {
+                index: old
+                for index, (old, new) in enumerate(zip(previous_cfp, cfp))
+                if old != new
+            }
+            carried = [((), previous.base_makespan)]
+            carried += [
+                entry
+                for entry in self._memo.items()
+                if all(index in changed for index in entry[0][::2])
+            ]
+            for key, makespan in carried:
+                trial = {**changed, **dict(zip(key[::2], key[1::2]))}
+                new_key = tuple(
+                    part
+                    for index in sorted(trial)
+                    if trial[index] != cfp[index]
+                    for part in (index, trial[index])
+                )
+                if new_key:
+                    memo[new_key] = makespan
+        self._memo = memo
 
     def _ensure_base(
         self, fingerprint: Tuple[int, ...], strategy: CompressionStrategy
@@ -591,47 +592,38 @@ class StrategyEvaluator:
         if self._inc is None or self._inc_fp != fingerprint:
             self._rebase(fingerprint, strategy)
 
-    def _delta_makespan(
-        self,
-        base: CompressionStrategy,
-        base_fp: Tuple[int, ...],
-        replacements: Sequence[Tuple[int, CompressionOption]],
+    def _resident_makespan(
+        self, replacements: Sequence[Tuple[int, CompressionOption]]
     ) -> float:
-        """Makespan of ``base`` with ``replacements`` applied, memoized."""
-        self._ensure_base(base_fp, base)
+        """Makespan of the resident base with ``replacements`` applied,
+        memoized against that base."""
         base_cfp = self._inc_cfp
-        if len(replacements) == 1:
-            # One replaced tensor (Algorithm 2's single-offload trials).
-            index, option = replacements[0]
-            key = self._chain_key(index, option)
-            if base_cfp[index] == key:
-                # Chain-equal to the resident option (covers option
-                # equality and distinct options compiling identically).
-                self.stats.cache_hits += 1
-                return self._inc.base_makespan
-            changed = [(index, option)]
-            trial_cfp = base_cfp[:index] + (key,) + base_cfp[index + 1 :]
-        else:
-            trial_list = list(base_cfp)
-            changed = []
-            for index, option in replacements:
-                key = self._chain_key(index, option)
-                if trial_list[index] != key:
-                    trial_list[index] = key
-                    changed.append((index, option))
-            if not changed:
-                self.stats.cache_hits += 1
-                return self._inc.base_makespan
-            trial_cfp = tuple(trial_list)
-        makespan = self._memo.get(trial_cfp)
+        changed: Dict[int, ChainEntry] = {}
+        for index, option in replacements:
+            entry = self._chain_entry(index, option)
+            if entry[0] != base_cfp[index]:
+                changed[index] = entry
+            else:
+                changed.pop(index, None)
+        if not changed:
+            # Chain-equal to the resident base (covers option equality
+            # and distinct options compiling identically).
+            self.stats.cache_hits += 1
+            return self._inc.base_makespan
+        key = tuple(
+            part
+            for index in sorted(changed)
+            for part in (index, changed[index][0])
+        )
+        makespan = self._memo.get(key)
         if makespan is not None:
             self.stats.cache_hits += 1
             return makespan
         self.stats.incremental_sims += 1
         makespan = self._inc.swap_chains_flat(
-            [(index, *self._flat_chain(index, option)) for index, option in changed]
+            [(index, res, dur) for index, (_, res, dur) in changed.items()]
         )
-        self._memo[trial_cfp] = makespan
+        self._memo[key] = makespan
         return makespan
 
     def price_options(
@@ -687,15 +679,15 @@ class StrategyEvaluator:
             ]
         self._ensure_base(base.fingerprint(), base)
         inc = self._inc
-        base_cfp = self._inc_cfp
-        resident_key = base_cfp[index]
+        memo = self._memo
+        resident_key = self._inc_cfp[index]
         base_time = forward + inc.base_makespan
         results: List[Optional[float]] = [None] * count
         # One entry per distinct trial chain, in first-encounter order:
-        # chain key -> (flat chain, trial chain fingerprint, slots).
-        unique: Dict[int, Tuple[tuple, Tuple[int, ...], List[int]]] = {}
+        # chain key -> (flat chain, slots).
+        unique: Dict[int, Tuple[tuple, List[int]]] = {}
         for j, option in enumerate(options):
-            chain_key = self._chain_key(index, option)
+            chain_key, res, dur = self._chain_entry(index, option)
             if chain_key == resident_key:
                 stats.cache_hits += 1
                 results[j] = base_time
@@ -703,35 +695,20 @@ class StrategyEvaluator:
             entry = unique.get(chain_key)
             if entry is not None:
                 stats.batch_dedup_hits += 1
-                entry[2].append(j)
+                entry[1].append(j)
                 continue
-            trial_cfp = (
-                base_cfp[:index] + (chain_key,) + base_cfp[index + 1 :]
-            )
-            makespan = self._memo.get(trial_cfp)
+            makespan = memo.get((index, chain_key))
             if makespan is not None:
                 stats.cache_hits += 1
                 results[j] = forward + makespan
                 continue
-            if bound is not None:
-                known_lb = self._lb_memo.get(trial_cfp)
-                if known_lb is not None and forward + known_lb >= bound:
-                    # A lower bound proved in an earlier call: the exact
-                    # makespan is >= known_lb, so a min-taking caller
-                    # rejects this candidate no matter its value.
-                    stats.cache_hits += 1
-                    continue
-            unique[chain_key] = (
-                self._flat_chain(index, option),
-                trial_cfp,
-                [j],
-            )
-        pending = list(unique.values())
+            unique[chain_key] = ((res, dur), [j])
+        pending = list(unique.items())
         order = range(len(pending))
         bounds: Optional[List[float]] = None
         if bound is not None and pending:
             bounds = _batch.suffix_lower_bounds(
-                inc, index, [entry[0] for entry in pending]
+                inc, index, [flat for _, (flat, _) in pending]
             )
             order = sorted(order, key=bounds.__getitem__)
             bound_makespan = bound - forward
@@ -755,25 +732,17 @@ class StrategyEvaluator:
             default=None,
         )
         for position in order:
-            flat, trial_cfp, slots = pending[position]
+            chain_key, ((res, dur), slots) = pending[position]
             if bounds is not None:
                 lb = bounds[position]
                 if lb >= bound_makespan or (
                     best_seen is not None and lb > best_seen
                 ):
                     stats.batch_pruned += len(slots)
-                    # Remember the proven bound: makespan(trial_cfp) is a
-                    # pure function of the full chain fingerprint, so the
-                    # fact survives rebases and answers repeat pricings
-                    # of this candidate from the memo (max-merge keeps
-                    # the tightest bound seen).
-                    previous = self._lb_memo.get(trial_cfp)
-                    if previous is None or lb > previous:
-                        self._lb_memo[trial_cfp] = lb
                     continue
             stats.incremental_sims += 1
-            makespan = inc.swap_chains_flat([(index, *flat)])
-            self._memo[trial_cfp] = makespan
+            makespan = inc.swap_chains_flat([(index, res, dur)])
+            memo[(index, chain_key)] = makespan
             for j in slots:
                 results[j] = forward + makespan
             if best_seen is None or makespan < best_seen:
@@ -843,7 +812,7 @@ class StrategyEvaluator:
 
         Public accessor for the conformance layer (oracle runs and the
         invariant checker need the chains the timeline claims to
-        realize); results are cached per (option value, tensor).
+        realize); the compiler caches the stages behind them.
         """
         return self._chains(strategy)
 
@@ -852,8 +821,9 @@ class StrategyEvaluator:
 
         Uses the makespan-only fast path — the decision algorithm calls
         this thousands of times and never needs the stage records.  With
-        the fast layer enabled the result is memoized by fingerprint and,
-        when a resident base exists, computed by delta-simulation.
+        the fast layer enabled the first call makes ``strategy`` the
+        resident base; later calls are delta-simulations against
+        whichever base is resident, memoized until it changes.
         """
         if self.cancel_check is not None:
             self.cancel_check()
@@ -866,13 +836,18 @@ class StrategyEvaluator:
             )
             return self.model.forward_time + makespan
         fingerprint = strategy.fingerprint()
-        chain_fp = self._chain_fingerprint(strategy)
-        makespan = self._memo.get(chain_fp)
-        if makespan is not None:
-            self.stats.cache_hits += 1
-        else:
-            makespan = self._fast_makespan(fingerprint, strategy)
-            self._memo[chain_fp] = makespan
+        if self._inc is None:
+            self._rebase(fingerprint, strategy)
+            return self.model.forward_time + self._inc.base_makespan
+        self._check_length(strategy)
+        base_fp = self._inc_fp
+        makespan = self._resident_makespan(
+            [
+                (index, option)
+                for index, option in enumerate(strategy.options)
+                if fingerprint[index] != base_fp[index]
+            ]
+        )
         return self.model.forward_time + makespan
 
     def iteration_time_multi(
@@ -887,8 +862,8 @@ class StrategyEvaluator:
         ``base`` (which becomes the resident incremental base).  Used by
         Algorithm 2's offload enumeration (each trial moves whole group
         prefixes to the CPU).  Prefix reuse is bounded by the earliest
-        replaced tensor, but the flatten work and the memo cache are
-        still shared.
+        replaced tensor, but the flattened chains and the base's memo
+        are still shared.
         """
         if self.cancel_check is not None:
             self.cancel_check()
@@ -904,8 +879,8 @@ class StrategyEvaluator:
                 cpu_capacity=self._cpu_capacity,
             )
             return self.model.forward_time + makespan
-        makespan = self._delta_makespan(base, base.fingerprint(), replacements)
-        return self.model.forward_time + makespan
+        self._ensure_base(base.fingerprint(), base)
+        return self.model.forward_time + self._resident_makespan(replacements)
 
     def iteration_time_uncached(self, strategy: CompressionStrategy) -> float:
         """F(S) via an unconditional from-scratch simulation.

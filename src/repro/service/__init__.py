@@ -10,7 +10,7 @@ Modules:
   canonical job fingerprints, cross-process strategy digests.
 * :mod:`repro.service.core` — the execution layer: PlanningCore,
   the LRU strategy cache with stale-family index, the alpha-beta
-  heuristic fallback, and the compare/validate fan-out helpers.
+  heuristic fallback, and the compare/validate suite helpers.
 * :mod:`repro.service.resilience` — deadlines, cancel tokens, retry
   backoff, the circuit breaker, and seeded chaos injection.
 * :mod:`repro.service.server` — the asyncio JSON-lines server with

@@ -342,7 +342,6 @@ class FleetResponse:
     selfish_aggregate_throughput: Optional[float] = None
     worst_slowdown: Optional[float] = None
     tenants: Tuple[dict, ...] = ()
-    parallel_disabled_reason: Optional[str] = None
     timelines_checked: int = 0
     attempts: int = 1
     elapsed_s: float = 0.0

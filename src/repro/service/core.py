@@ -21,27 +21,19 @@ clearly clears the extra launch cost, prices the result with one F(S)
 call, and never returns anything worse than FP32.
 
 The ``run_systems`` / ``validate_suite`` helpers used by ``repro
-compare`` and ``repro validate`` live here too (moved from ``cli.py``)
-so every multi-job entry point reports *why* a requested parallel
-fan-out ran serially instead of silently downgrading.
+compare`` and ``repro validate`` live here too (moved from ``cli.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
 from repro.core import Espresso
 from repro.core.fusion import estimate_alpha_beta
 from repro.core.options import Device
-from repro.core.parallel import (
-    WorkerPool,
-    WorkerPoolError,
-    run_system_task,
-    validate_strategy_task,
-)
 from repro.core.presets import inter_allgather_option
 from repro.core.strategy import (
     CompressionStrategy,
@@ -56,7 +48,6 @@ from repro.service.api import (
     job_fingerprint,
     strategy_digest,
 )
-from repro.service.resilience import EvaluatorWorkerError
 
 
 @dataclass
@@ -197,19 +188,16 @@ class StrategyCache:
 class PlanningCore:
     """The one door to the planner for every entry point.
 
-    ``jobs`` and ``check`` mirror the CLI flags; a server and a CLI
-    invocation configured the same way run byte-for-byte the same
-    selection.
+    ``check`` mirrors the CLI flag; a server and a CLI invocation
+    configured the same way run byte-for-byte the same selection.
     """
 
     def __init__(
         self,
-        jobs: int = 1,
         check: bool = False,
         ratios: Optional[Sequence[float]] = None,
         error_budget: Optional[float] = None,
     ) -> None:
-        self.jobs = max(1, int(jobs))
         self.check = check
         #: Default ratio-ladder knobs applied to every plan; a wire
         #: request carrying its own values overrides them per call.
@@ -232,14 +220,11 @@ class PlanningCore:
 
         ``cancel_check`` (typically ``CancelToken.check``) is installed
         on the evaluator so deadline expiry aborts the selection from
-        inside its innermost pricing loops.  A worker-pool death
-        surfaces as :class:`EvaluatorWorkerError` so callers retry it
-        like any other evaluator failure.
+        inside its innermost pricing loops.
         """
         planner = Espresso(
             job,
             check=self.check,
-            jobs=self.jobs,
             ratios=self.ratios if ratios is None else tuple(ratios),
             error_budget=(
                 self.error_budget if error_budget is None else error_budget
@@ -247,10 +232,7 @@ class PlanningCore:
         )
         if cancel_check is not None:
             planner.evaluator.cancel_check = cancel_check
-        try:
-            return planner, planner.select_strategy()
-        except WorkerPoolError as error:
-            raise EvaluatorWorkerError(f"evaluator pool died: {error}") from None
+        return planner, planner.select_strategy()
 
     def plan_job(
         self,
@@ -299,24 +281,16 @@ class PlanningCore:
         server and ``repro fleet`` run the identical
         :func:`~repro.core.fleet.plan_fleet` invocation, with the
         cancel seam threaded into every planner and evaluator so the
-        deadline fires inside the pricing loops.  A worker-pool death
-        surfaces as :class:`EvaluatorWorkerError` for the retry loop.
+        deadline fires inside the pricing loops.
         """
         from repro.core.fleet import plan_fleet
 
-        fleet = request.build_fleet()
-        try:
-            return plan_fleet(
-                fleet,
-                max_rounds=request.max_rounds,
-                check=self.check,
-                jobs=self.jobs,
-                cancel_check=cancel_check,
-            )
-        except WorkerPoolError as error:
-            raise EvaluatorWorkerError(
-                f"evaluator pool died: {error}"
-            ) from None
+        return plan_fleet(
+            request.build_fleet(),
+            max_rounds=request.max_rounds,
+            check=self.check,
+            cancel_check=cancel_check,
+        )
 
 
 def heuristic_fleet(fleet):
@@ -366,7 +340,6 @@ def heuristic_fleet(fleet):
         aggregate_throughput=evaluation.aggregate_throughput,
         selfish_aggregate_throughput=evaluation.aggregate_throughput,
         timelines_checked=evaluation.timelines_checked,
-        parallel_disabled_reason=None,
         plan_seconds=0.0,
     )
 
@@ -413,62 +386,18 @@ def heuristic_plan(
     return strategy, iteration_time, baseline_time
 
 
-def run_systems(
-    job: JobConfig, systems: Sequence, jobs: int
-) -> Tuple[List, Optional[str]]:
-    """Each system's BaselineResult, fanned out when ``jobs > 1``.
-
-    Workers only run the (independent, deterministic) per-system
-    planning; order and results match the serial loop exactly.  The
-    second element says why a requested fan-out ran serially (``None``
-    when it ran parallel or was never requested).
-    """
-    if jobs > 1 and len(systems) > 1:
-        with WorkerPool(jobs) as pool:
-            if pool.active:
-                try:
-                    results = pool.run(
-                        run_system_task,
-                        [(system_cls, job) for system_cls in systems],
-                    )
-                    return results, pool.disabled_reason
-                except WorkerPoolError:
-                    pass
-            reason = pool.disabled_reason
-    else:
-        reason = None
-    return [system_cls().run(job) for system_cls in systems], reason
+def run_systems(job: JobConfig, systems: Sequence) -> List:
+    """Each system's BaselineResult, in ``systems`` order."""
+    return [system_cls().run(job) for system_cls in systems]
 
 
-def validate_suite(
-    job: JobConfig, named: Sequence, oracle: bool, jobs: int
-) -> Tuple[List, Optional[str]]:
-    """Conformance reports for ``named`` strategies, fanned out when
-    ``jobs > 1`` (one strategy's full battery per worker task).  The
-    second element is the serial-downgrade reason, as in
-    :func:`run_systems`."""
-    if jobs > 1 and len(named) > 1:
-        with WorkerPool(jobs) as pool:
-            if pool.active:
-                try:
-                    results = pool.run(
-                        validate_strategy_task,
-                        [
-                            (job, name, strategy.options, oracle)
-                            for name, strategy in named
-                        ],
-                    )
-                    return results, pool.disabled_reason
-                except WorkerPoolError:
-                    pass
-            reason = pool.disabled_reason
-    else:
-        reason = None
+def validate_suite(job: JobConfig, named: Sequence, oracle: bool) -> List:
+    """Conformance reports for the ``named`` strategies, in order."""
     evaluator = StrategyEvaluator(job)
     return [
         validate_strategy(evaluator, strategy, name=name, oracle=oracle)
         for name, strategy in named
-    ], reason
+    ]
 
 
 __all__ = [

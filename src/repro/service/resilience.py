@@ -10,7 +10,7 @@ Four small, separately-testable pieces:
   until it finishes.
 * :class:`RetryPolicy` — bounded retries with the repo-wide exponential
   backoff (:func:`repro.utils.backoff.backoff_delay`), shared with
-  training supervision and pool restarts.
+  training supervision.
 * :class:`CircuitBreaker` — CLOSED / OPEN / HALF_OPEN.  After K
   *consecutive* evaluator failures or deadline misses the breaker
   opens and the server stops feeding the planner, serving degraded
@@ -54,9 +54,8 @@ class EvaluatorWorkerError(RuntimeError):
     """An evaluator worker died mid-request.
 
     The retriable failure class: the planning pipeline catches exactly
-    this (chaos kills raise it, and real
-    :class:`~repro.core.parallel.WorkerPoolError` failures are wrapped
-    into it) and retries with backoff while budget remains.
+    this (chaos kills raise it) and retries with backoff while budget
+    remains.
     """
 
 

@@ -23,11 +23,9 @@ drive one planning call at a time on a same-width thread pool.  The
 planner is pure Python, so threads serialize on the GIL — the pool
 buys *cancellation and queueing semantics* (a planning call blocks a
 thread, not the loop; deadlines fire inside the evaluator via the
-``cancel_check`` seam), while real CPU parallelism stays where it
-already lives, in the planner's own ``jobs > 1`` process pool.  The
-degradation ladder runs on a separate single-thread executor so a
-breaker-open burst of stuck planning threads cannot starve the cheap
-fallback path.
+``cancel_check`` seam), not CPU parallelism.  The degradation ladder
+runs on a separate single-thread executor so a breaker-open burst of
+stuck planning threads cannot starve the cheap fallback path.
 
 Ops (JSON-lines; any object without an ``op`` is a plan request):
 
@@ -103,8 +101,6 @@ class ServerConfig:
     queue_limit: int = 16
     #: Applied when a request carries no ``deadline_s``; None = unbounded.
     default_deadline_s: Optional[float] = 30.0
-    #: Planner fan-out width (the CLI's ``--jobs``), not server threads.
-    jobs: int = 1
     check: bool = False
     cache_entries: int = 256
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -246,7 +242,6 @@ def _fleet_fields(ticket: _Ticket, result) -> dict:
             }
             for plan in result.tenants
         ),
-        parallel_disabled_reason=result.parallel_disabled_reason,
         timelines_checked=result.timelines_checked,
     )
 
@@ -290,7 +285,7 @@ class PlanningServer:
 
     def __init__(self, config: ServerConfig) -> None:
         self.config = config
-        self.core = PlanningCore(jobs=config.jobs, check=config.check)
+        self.core = PlanningCore(check=config.check)
         self.cache = StrategyCache(max_entries=config.cache_entries)
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_threshold,
@@ -348,8 +343,7 @@ class PlanningServer:
         print(
             f"repro serve: listening on {self.config.host}:{self.port} "
             f"(workers={self.config.workers} "
-            f"queue_limit={self.config.queue_limit} "
-            f"jobs={self.config.jobs})",
+            f"queue_limit={self.config.queue_limit})",
             flush=True,
         )
         if self.config.chaos is not None and self.config.chaos.active:

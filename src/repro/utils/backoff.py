@@ -1,14 +1,13 @@
 """Exponential backoff: the one retry-delay formula the repo shares.
 
-Three resilience layers retry with exponential backoff — the training
+Two resilience layers retry with exponential backoff — the training
 supervisor's per-tensor compress retries
-(:class:`~repro.training.supervision.TrainingSupervisor`), the worker
-pool's one-shot restart before latching serial
-(:class:`~repro.core.parallel.WorkerPool`), and the planning service's
-evaluator-failure retries (:mod:`repro.service.resilience`).  They must
-agree on what "retry k with base b" costs, both for the simulated time
-axis and for real sleeps, so the formula lives here instead of being
-re-derived (slightly differently) at each site.
+(:class:`~repro.training.supervision.TrainingSupervisor`) and the
+planning service's evaluator-failure retries
+(:mod:`repro.service.resilience`).  They must agree on what "retry k
+with base b" costs, both for the simulated time axis and for real
+sleeps, so the formula lives here instead of being re-derived
+(slightly differently) at each site.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 from repro.core.algorithm import (
     IMPROVEMENT_EPSILON,
     CandidatePrefilter,
+    best_priced,
     device_candidate_options,
     gpu_candidate_options,
     gpu_compression_decision,
@@ -14,7 +15,6 @@ from repro.core.algorithm import (
 )
 from repro.cluster import nvlink_100g_cluster
 from repro.core.options import Device, canonical_key, no_compression_option
-from repro.core.parallel import best_priced
 from repro.core.plan import PlanCompiler
 from repro.models import get_model, synthetic_model
 from repro.config import GCInfo, JobConfig, SystemInfo
@@ -159,6 +159,17 @@ def test_best_priced_breaks_time_ties_by_canonical_key():
     # A strictly better time always beats a smaller key.
     c = (0.5, max(canonical_key(a), canonical_key(b)), b)
     assert best_priced(priced + [c]) == c
+
+
+def test_best_priced_total_order():
+    plain = no_compression_option()
+    entries = [
+        (2.0, canonical_key(plain), plain),
+        (1.0, 99, plain),
+        (1.0, 7, plain),
+    ]
+    assert best_priced(entries) == (1.0, 7, plain)
+    assert best_priced(list(reversed(entries))) == (1.0, 7, plain)
 
 
 def test_tie_break_independent_of_candidate_order(medium_job, monkeypatch):

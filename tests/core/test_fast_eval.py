@@ -198,3 +198,38 @@ def test_repricing_identical_chains_needs_no_simulation():
     assert evaluator.stats.cache_hit_rate >= 0.3, evaluator.stats
     assert evaluator.stats.memo_hit_rate > 0.0
     assert evaluator.stats.cache_hit_rate >= evaluator.stats.memo_hit_rate
+
+
+def test_memo_lives_with_its_resident_base():
+    """The F(S) memo belongs to the resident base: a rebase clears it.
+
+    Pricing base A's candidates again after a rebase to B simulates them
+    again (memo keys only name the changed tensors, so they are
+    meaningless against another base), and every time, before and
+    after, equals the from-scratch value.
+    """
+    fast = StrategyEvaluator(JOB, fast=True)
+    slow = StrategyEvaluator(JOB, fast=False)
+    base_a = fast.baseline()
+    base_b = base_a.replace(N - 1, next(o for o in OPTIONS if o.compresses))
+    candidates = list(OPTIONS)
+    expected_a = slow.price_options(base_a, 0, candidates)
+    expected_b = slow.price_options(base_b, 0, candidates)
+
+    assert fast.price_options(base_a, 0, candidates) == expected_a
+    assert fast.price_options(base_b, 0, candidates) == expected_b
+    sims = fast.stats.incremental_sims
+    rebases = fast.stats.rebases
+    assert fast.price_options(base_a, 0, candidates) == expected_a
+    assert fast.stats.rebases == rebases + 1
+    assert fast.stats.incremental_sims > sims
+    # Within one base the memo still answers repeats without simulating.
+    sims = fast.stats.incremental_sims
+    assert fast.price_options(base_a, 0, candidates) == expected_a
+    assert fast.stats.incremental_sims == sims
+    for option in candidates[:4]:
+        trial = base_b.replace(0, option)
+        assert fast.iteration_time(trial) == slow.iteration_time(trial)
+        assert fast.iteration_time_multi(base_b, [(0, option)]) == (
+            slow.iteration_time_multi(base_b, [(0, option)])
+        )

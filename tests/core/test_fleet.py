@@ -154,26 +154,6 @@ def test_round_limit_without_cycle_also_falls_back():
     )
 
 
-def test_plan_fleet_parallel_matches_serial_bit_identical():
-    """Satellite: fleet --jobs N is bit-identical to serial planning."""
-    fleet = lstm_pair()
-    serial = plan_fleet(fleet, jobs=1)
-    parallel = plan_fleet(fleet, jobs=2)
-    assert serial.parallel_disabled_reason is None
-    for name in ("a", "b"):
-        assert strategy_digest(
-            parallel.tenant(name).strategy
-        ) == strategy_digest(serial.tenant(name).strategy)
-        assert parallel.tenant(name).contended_time == pytest.approx(
-            serial.tenant(name).contended_time
-        )
-    assert parallel.aggregate_throughput == pytest.approx(
-        serial.aggregate_throughput
-    )
-    assert parallel.mode == serial.mode
-    assert parallel.rounds == serial.rounds
-
-
 def test_plan_fleet_validation():
     with pytest.raises(ValueError, match="max_rounds"):
         plan_fleet(lstm_pair(), max_rounds=0)

@@ -6,8 +6,8 @@ The equivalence claims that make fusion safe to ship:
   so fused and unfused single-tensor-group plans are bit-identical;
 * every fused timeline passes the unmodified invariant battery and
   differential oracle (a fused group is simply a tensor to the sim);
-* the joint search is deterministic and ``--jobs N`` parallel planning
-  stays bit-identical to serial with fusion enabled;
+* the joint search is deterministic, and with a ratio ladder it never
+  loses to the fixed-ratio search;
 * loaded plans whose boundaries no longer match the model trace are
   refused (StalePlanError, exit 2 in the CLI).
 """
@@ -194,27 +194,12 @@ def test_selection_is_deterministic():
     assert first.iteration_time == second.iteration_time
 
 
-def test_parallel_fusion_search_bit_identical_to_serial():
-    """--jobs N with fusion enabled selects the exact serial decision
-    (real worker pools via oversubscribe, even on a 1-core host)."""
-    serial = FusionPlanner(JOB).select_strategy()
-    parallel = FusionPlanner(JOB, jobs=3, oversubscribe=True).select_strategy()
-    assert parallel.fused.fingerprint() == serial.fused.fingerprint()
-    assert parallel.iteration_time == serial.iteration_time
-
-
-def test_fusion_ratio_ladder_parallel_bit_identical():
-    """--fusion --ratios --jobs N: the laddered joint search selects the
-    exact serial decision, and never loses to the fixed-ratio search."""
-    kwargs = dict(ratios=(0.001, 0.01, 0.1))
-    serial = FusionPlanner(JOB, **kwargs).select_strategy()
-    parallel = FusionPlanner(
-        JOB, jobs=3, oversubscribe=True, **kwargs
-    ).select_strategy()
-    assert parallel.fused.fingerprint() == serial.fused.fingerprint()
-    assert parallel.iteration_time == serial.iteration_time
+def test_fusion_ratio_ladder_never_loses_to_fixed_ratio():
+    """--fusion --ratios: the laddered joint search never loses to the
+    fixed-ratio search."""
+    laddered = FusionPlanner(JOB, ratios=(0.001, 0.01, 0.1)).select_strategy()
     fixed = FusionPlanner(JOB).select_strategy()
-    assert serial.iteration_time <= fixed.iteration_time
+    assert laddered.iteration_time <= fixed.iteration_time
 
 
 def test_fusion_error_budget_respected():

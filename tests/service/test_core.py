@@ -154,9 +154,8 @@ def test_run_systems_serial_matches_shape():
     from repro.baselines import FP32, HiPress
 
     job = small_request().build_job()
-    results, reason = run_systems(job, [FP32, HiPress], jobs=1)
+    results = run_systems(job, [FP32, HiPress])
     assert [r.name for r in results] == ["FP32", "HiPress"]
-    assert reason is None  # no fan-out requested, nothing was downgraded
 
 
 def test_validate_suite_serial_reports():
@@ -164,7 +163,6 @@ def test_validate_suite_serial_reports():
 
     job = small_request().build_job()
     named = conformance_strategies(job.model.num_tensors)[:2]
-    reports, reason = validate_suite(job, named, oracle=False, jobs=1)
+    reports = validate_suite(job, named, oracle=False)
     assert [r.name for r in reports] == [name for name, _ in named]
     assert all(r.ok for r in reports)
-    assert reason is None
