@@ -118,7 +118,7 @@ run_phase python -m pytest -q -p no:cacheprovider \
 
 echo
 echo "== planner profile: where selection time goes (perf PRs start here) =="
-run_phase python scripts/profile_planner.py vgg16 --top 10 --sort tottime
+run_phase python scripts/profile_planner.py resnet101 --top 10 --sort tottime
 
 echo
 echo "== service: chaos load against repro serve, zero dropped requests =="

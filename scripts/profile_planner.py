@@ -102,7 +102,8 @@ def main(argv=None) -> int:
         f"evaluations {stats.fs_calls}, incremental sims "
         f"{stats.incremental_sims}, memo hits {stats.cache_hits}, "
         f"batch: {stats.batch_candidates} candidates / "
-        f"{stats.batch_dedup_hits} dedup / {stats.batch_pruned} pruned"
+        f"{stats.batch_dedup_hits} dedup / {stats.batch_pruned} pruned "
+        f"({stats.replay_cuts} cut inside the replay)"
     )
     print(
         f"Algorithm 2: {stats.offload_passes} passes "

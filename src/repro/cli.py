@@ -216,8 +216,8 @@ def _print_stats(result) -> None:
     print("Fast evaluation layer:")
     rows = [
         ("F(S) calls", f"{stats.fs_calls:,}"),
-        ("answered without simulation", f"{stats.cache_hit_rate:.1%} "
-                                        f"(memo + dedup + pruned)"),
+        ("answered without a full replay", f"{stats.cache_hit_rate:.1%} "
+                                           f"(memo + dedup + pruned)"),
         ("memo cache hits", f"{stats.cache_hits:,} "
                             f"({stats.memo_hit_rate:.1%})"),
         ("full simulations", f"{stats.full_sims:,}"),
@@ -235,6 +235,7 @@ def _print_stats(result) -> None:
             ("candidates priced", f"{stats.batch_candidates:,}"),
             ("pruned by lower bound", f"{stats.batch_pruned:,} "
                                       f"({stats.batch_prune_rate:.1%})"),
+            ("  cut inside the replay", f"{stats.replay_cuts:,}"),
             ("answered by dedup", f"{stats.batch_dedup_hits:,}"),
         ]
         print(render_table(["batch pricing", "value"], batch_rows))

@@ -275,18 +275,25 @@ class EvaluatorStats:
         cache_hits: requests answered from the fingerprint memo cache
             (including candidates chain-equal to the resident base).
         full_sims: from-scratch simulations (includes rebases).
-        incremental_sims: delta-simulations via chain swaps.
+        incremental_sims: delta-simulations via chain swaps that ran to
+            an exact makespan.
         rebases: incremental-simulator base rebuilds.
         timelines: full timeline simulations (stage records materialized).
         events_full: completion events processed by full/base simulations.
-        events_replayed: completion events processed during swap replays.
+        events_replayed: completion events processed during swap replays,
+            including the partial replays of ``replay_cuts``.
         events_reused: completion events skipped via checkpoint restore.
         batch_calls: ``price_options`` invocations (one per tensor whose
             candidate set was priced as a batch).
         batch_candidates: candidates submitted across all batch calls.
-        batch_pruned: candidates skipped because a sound vectorized
-            lower bound proved they cannot beat the caller's bound
-            (DESIGN.md §5.7); no simulation ran and no time is reported.
+        batch_pruned: candidates a sound lower bound proved cannot
+            matter to the min-taking caller (DESIGN.md §5.7); no time is
+            reported.  Either the static bound skipped the replay, or
+            (``replay_cuts``) the replay stopped part-way.
+        replay_cuts: the part of ``batch_pruned`` cut inside the replay
+            by the backprop critical-path bound.  A cut candidate ran
+            part of a replay, whose events count in ``events_replayed``,
+            but it is not an incremental simulation and is not memoized.
         batch_dedup_hits: candidates answered by another candidate of
             the *same call* that compiles to an identical stage chain.
         batch_fallbacks: always 0.  It counted candidates a vectorized
@@ -323,6 +330,7 @@ class EvaluatorStats:
     batch_calls: int = 0
     batch_candidates: int = 0
     batch_pruned: int = 0
+    replay_cuts: int = 0
     batch_dedup_hits: int = 0
     batch_fallbacks: int = 0
     offload_passes: int = 0
@@ -336,12 +344,13 @@ class EvaluatorStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of F(S) requests answered without any simulation.
+        """Fraction of F(S) requests answered without a full replay.
 
         It takes three counters: memo/resident hits (``cache_hits``),
         candidates answered by a chain-identical sibling in the same
         call (``batch_dedup_hits``), and candidates a sound lower bound
-        proved irrelevant (``batch_pruned``).  Counting memo hits alone
+        proved irrelevant (``batch_pruned``; those cut inside the replay,
+        ``replay_cuts``, ran part of one).  Counting memo hits alone
         collapses on deep homogeneous models — the memo lives only as
         long as its resident base, so every accepted decision (a
         rebase) empties it, while dedup and pruning still answer
@@ -368,7 +377,9 @@ class EvaluatorStats:
     @property
     def prefix_reuse_fraction(self) -> float:
         """Of the events a naive replay would simulate during swaps, the
-        fraction skipped by resuming from a checkpoint."""
+        fraction skipped by resuming from a checkpoint.  A replay cut
+        counts the events it ran and the prefix it skipped, not the
+        suffix it never reached."""
         denominator = self.events_replayed + self.events_reused
         return self.events_reused / denominator if denominator else 0.0
 
@@ -646,12 +657,14 @@ class StrategyEvaluator:
         With ``bound`` given, the caller declares it is *min-taking*: it
         only accepts times strictly below ``bound`` and resolves exact
         time ties by canonical key (or first index).  Candidates whose
-        *sound lower bound* (:func:`repro.sim.batch.suffix_lower_bounds`)
-        proves they cannot win under those rules — the bound reaches
-        ``bound``, or another candidate in the batch already priced
-        strictly below it — are returned as ``None`` instead of a time:
-        the alpha-beta-style cut that makes GetBestOption and the
-        refinement sweeps cheap once the incumbent is good.  The batch
+        *sound lower bound* proves they cannot win under those rules —
+        the bound reaches ``bound``, or another candidate in the batch
+        already priced strictly below it — are returned as ``None``
+        instead of a time: the alpha-beta-style cut that makes
+        GetBestOption and the refinement sweeps cheap once the incumbent
+        is good.  Two bounds apply: the static one of
+        :func:`repro.sim.batch.suffix_lower_bounds` before a replay, and
+        the backprop critical path the replay checks as it runs.  The batch
         minimum and every candidate tying it always come back exact, so
         the winner and its tie-breaking are bit-identical to pricing
         everything.  Callers that need every exact time must pass
@@ -725,23 +738,35 @@ class StrategyEvaluator:
         # winner is priced first and everything above it falls.
         # Strictness keeps exact time ties intact — a tying candidate's
         # lb never exceeds the tied value — so the (time, key)
-        # tie-breaking downstream sees every tie.  Without a bound every
-        # candidate is priced, in first-encounter order.
+        # tie-breaking downstream sees every tie.  A candidate that
+        # survives both is replayed with the same two thresholds, which
+        # the replay applies to the backprop critical path at each later
+        # chain's compute dispatch (``swap_chains_flat``); a replay cut
+        # counts as pruned and is not memoized.  Without a bound every
+        # candidate is priced in full, in first-encounter order.
         best_seen = min(
             (time - forward for time in results if time is not None),
             default=None,
         )
         for position in order:
             chain_key, ((res, dur), slots) = pending[position]
-            if bounds is not None:
+            if bounds is None:
+                makespan = inc.swap_chains_flat([(index, res, dur)])
+            else:
                 lb = bounds[position]
                 if lb >= bound_makespan or (
                     best_seen is not None and lb > best_seen
                 ):
                     stats.batch_pruned += len(slots)
                     continue
+                makespan = inc.swap_chains_flat(
+                    [(index, res, dur)], bound_makespan, best_seen
+                )
+                if makespan is None:
+                    stats.batch_pruned += len(slots)
+                    stats.replay_cuts += len(slots)
+                    continue
             stats.incremental_sims += 1
-            makespan = inc.swap_chains_flat([(index, res, dur)])
             memo[(index, chain_key)] = makespan
             for j in slots:
                 results[j] = forward + makespan

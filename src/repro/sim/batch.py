@@ -6,7 +6,9 @@ minimum.  :func:`suffix_lower_bounds` bounds all of a tensor's
 candidates from below in one numpy pass over the base schedule, so
 ``StrategyEvaluator.price_options`` can skip the candidates that
 provably cannot win and replay only the rest
-(:meth:`~repro.sim.incremental.IncrementalSimulator.swap_chains_flat`).
+(:meth:`~repro.sim.incremental.IncrementalSimulator.swap_chains_flat`,
+which may still cut a replay once the backprop critical path shows the
+candidate loses).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.incremental import IncrementalSimulator
+from repro.sim.incremental import LB_MARGIN, IncrementalSimulator
 
 #: A candidate replacement chain in the evaluator's pre-flattened form:
 #: parallel (resource index, duration) lists over the stages.
@@ -36,17 +38,6 @@ def _sim_arrays(sim: IncrementalSimulator) -> dict:
         }
         sim._batch_arrays = cache
     return cache
-
-
-#: Relative safety margin applied to every lower bound.  The bound's
-#: work terms are numpy sums whose rounding order differs from the
-#: engine's own ``max``/``+`` fold, so the raw sum can exceed the exact
-#: schedule value by a few hundred ULPs (~1e-13 relative).  Shrinking
-#: the bound by 1e-9 relative dwarfs that noise while costing
-#: essentially no pruning power (real candidate gaps are >= 1e-3
-#: relative), keeping "lower bound" true in float arithmetic, not just
-#: in real arithmetic.
-_LB_MARGIN = 1e-9
 
 
 def suffix_lower_bounds(
@@ -73,7 +64,7 @@ def suffix_lower_bounds(
     candidate chain itself also bounds via its serial dependency from
     t_cut.  ``makespan >= max(pre ends)`` always.  All inputs are exact
     engine floats; only the duration sums introduce rounding, which
-    :data:`_LB_MARGIN` absorbs.
+    :data:`~repro.sim.incremental.LB_MARGIN` absorbs.
 
     (A strictly stronger release-date relaxation — per-task earliest
     -ready bounds via frozen ancestors, maximized over thresholds — was
@@ -134,5 +125,5 @@ def suffix_lower_bounds(
             b = (R[r1] if caps[r1] == 1 else t_cut) + tail
             if b > lb:
                 lb = b
-        bounds.append(lb - lb * _LB_MARGIN)
+        bounds.append(lb - lb * LB_MARGIN)
     return bounds

@@ -24,6 +24,11 @@ operations in the same order as a from-scratch (base) run of the trial
 chains — which is what :func:`repro.sim.engine.simulate_makespan` is —
 so the makespans are bit-identical; ``tests/sim/test_incremental.py``
 and ``tests/sim/test_oracle.py`` check it against both.
+
+A min-taking caller can also hand a single-chain replay two thresholds;
+the replay then stops as soon as the backprop critical path proves the
+trial's makespan reaches the first or exceeds the second (DESIGN.md
+§5.7), and reports a cut instead of a makespan.
 """
 
 from __future__ import annotations
@@ -50,6 +55,16 @@ _K_BITS = 10
 _TID_MASK = (1 << _TID_BITS) - 1
 _MAX_STAGES = 1 << _K_BITS
 _MAX_TENSOR = 1 << 20
+
+#: Relative margin by which every lower bound on a swapped makespan is
+#: shrunk: the static :func:`repro.sim.batch.suffix_lower_bounds` and the
+#: replay's critical-path cut alike.  Both sum durations in another order
+#: than the engine's ``max``/``+`` fold, so a raw bound can exceed the
+#: exact value by a few hundred ULPs (~1e-13 relative).  The margin also
+#: decides what neither bound ever prunes: an exact tie, or a loser
+#: within ~1e-9 relative.  Real losers do come that close (DESIGN.md
+#: §5.7 has the measured gaps); they are always priced exactly.
+LB_MARGIN = 1e-9
 
 
 class IncrementalSimulator:
@@ -189,6 +204,9 @@ class IncrementalSimulator:
         #: Lazily built order-insensitive forms of each checkpoint's
         #: state, for the reconvergence early-exit of :meth:`_replay`.
         self._cp_state_keys: List[Optional[tuple]] = []
+        #: :meth:`_critical_paths` of the base chains, built on the first
+        #: swap that is given cut thresholds.
+        self._paths: Optional[List[float]] = None
         if checkpoint_stride is None:
             checkpoint_stride = max(1, self._num_tasks // 128)
         self.base_makespan = self._run_base(max(1, checkpoint_stride))
@@ -341,6 +359,27 @@ class IncrementalSimulator:
             self._is_comm,
         )
 
+    def _critical_paths(self) -> List[float]:
+        """Serial work left from each chain's compute dispatch.
+
+        ``G[j] = c_j + max(tail_j, G[j + 1])``, where ``c_j`` is chain
+        j's compute duration and ``tail_j`` the sum of its post-compute
+        stages: backprop compute is one serial chain (compute j + 1
+        becomes ready when compute j completes), so once compute j is
+        dispatched at ``now`` no chain l >= j can end before ``now + c_j
+        + ... + c_l + tail_l``, and ``G[j]`` is the largest of those
+        sums.
+        """
+        durations = self._durations
+        paths = [0.0] * self._num_chains
+        after = 0.0
+        for j in range(self._num_chains - 1, -1, -1):
+            t0 = self._base[j]
+            tail = sum(durations[t0 + 1 : t0 + self._chain_len[j]])
+            after = durations[t0] + (tail if tail > after else after)
+            paths[j] = after
+        return paths
+
     # -- swaps -----------------------------------------------------------
 
     def swap_chain(self, index: int, stages: Sequence[Stage]) -> float:
@@ -376,7 +415,9 @@ class IncrementalSimulator:
     def swap_chains_flat(
         self,
         replacements: Sequence[Tuple[int, Sequence[int], Sequence[float]]],
-    ) -> float:
+        cut_at: Optional[float] = None,
+        cut_above: Optional[float] = None,
+    ) -> Optional[float]:
         """:meth:`swap_chains` with pre-flattened replacement chains.
 
         Each replacement is ``(index, resource_indices, durations)`` —
@@ -384,6 +425,17 @@ class IncrementalSimulator:
         through the :data:`~repro.sim.stages.RESOURCES` order.  The
         planner's evaluator caches these per (option, tensor) so the hot
         loop never touches :class:`Stage` objects.
+
+        ``cut_at`` and ``cut_above`` are a min-taking caller's
+        thresholds.  A single-chain replay given either returns ``None``
+        (a cut) as soon as a sound lower bound on its makespan reaches
+        ``cut_at`` or exceeds ``cut_above``; otherwise, and always for
+        several chains, it returns the exact makespan.  The bound is the
+        critical path from each compute dispatch of a chain after the
+        swapped one (:meth:`_critical_paths`), shrunk by
+        :data:`LB_MARGIN`.  Chains up to the swapped one are not
+        checked: their paths run through the base's tail of the swapped
+        chain, which the trial has replaced.
         """
         if not replacements:
             return self.base_makespan
@@ -468,7 +520,29 @@ class IncrementalSimulator:
             if not saved:
                 return self.base_makespan
             ci = bisect_right(self._cp_times, t_influence) - 1
-            return self._replay(ci, guard)
+            gate = self._num_chains  # past the last chain: no cut
+            if guard is None and (cut_at is not None or cut_above is not None):
+                if self._paths is None:
+                    self._paths = self._critical_paths()
+                # The first chain after the swapped one whose compute the
+                # restored checkpoint has not dispatched yet (every
+                # dispatch at the checkpoint's instant follows the
+                # snapshot).
+                gate = pos + 1
+                cp_time = self._cp_times[ci]
+                while (
+                    gate < self._num_chains
+                    and self._start_time[self._base[gate]] < cp_time
+                ):
+                    gate += 1
+            inf = float("inf")
+            return self._replay(
+                ci,
+                guard,
+                gate,
+                inf if cut_at is None else cut_at,
+                inf if cut_above is None else cut_above,
+            )
         finally:
             del durations[n_base:]
             del post[n_base:]
@@ -494,7 +568,17 @@ class IncrementalSimulator:
             self._cp_state_keys[ci] = key
         return key
 
-    def _replay(self, ci: int, guard: Optional[set]) -> float:
+    def _replay(
+        self,
+        ci: int,
+        guard: Optional[set],
+        gate: int,
+        cut_at: float,
+        cut_above: float,
+    ) -> Optional[float]:
+        """Replay from checkpoint ``ci``; ``None`` if the critical-path
+        check at the compute dispatch of chain ``gate`` or a later one
+        cut it (``gate`` past the last chain checks nothing)."""
         durations = self._durations
         post = self._post
         heappush = heapq.heappush
@@ -504,6 +588,10 @@ class IncrementalSimulator:
         cp_times = self._cp_times
         n_cps = len(cp_times)
         inf = float("inf")
+        base = self._base
+        n_chains = self._num_chains
+        paths = self._paths
+        gate_tid = base[gate] if gate < n_chains else -1
 
         cp_free, cp_ready, cp_events, makespan, seq, cp_events_done = (
             self._checkpoints[ci]
@@ -600,6 +688,23 @@ class IncrementalSimulator:
                     fr -= 1
                     seq += 1
                     heappush(events, (now + durations[tid], seq << tid_bits | tid))
+                    if tid == gate_tid:
+                        # Chain ``gate``'s compute starts now: no chain
+                        # from it on ends before ``now + paths[gate]``.
+                        # (Compute stages run on the GPU stream; one on
+                        # another resource would stop the checks, not
+                        # make them unsound.)
+                        lb = now + paths[gate]
+                        lb -= lb * LB_MARGIN
+                        if lb >= cut_at or lb > cut_above:
+                            if self.stats is not None:
+                                self.stats.events_replayed += (
+                                    in_flight0 + (seq - seq0) - len(events)
+                                )
+                                self.stats.events_reused += cp_events_done
+                            return None
+                        gate += 1
+                        gate_tid = base[gate] if gate < n_chains else -1
                 free[0] = fr
             if ready1 and free[1]:
                 fr = free[1]

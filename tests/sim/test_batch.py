@@ -3,25 +3,33 @@
 The contract under test: ``price_options`` without a bound equals a
 from-scratch simulation of every candidate float for float, the lower
 bounds of ``repro.sim.batch`` never exceed the exact swapped makespan,
-and ``price_options``'s bound-driven pruning changes *which* candidates
-get exact times but never the batch winner, its time, or its ties.
+a replay given cut thresholds returns the exact makespan or a cut the
+exact makespan justifies, and ``price_options``'s bound-driven pruning
+changes *which* candidates get exact times but never the batch winner,
+its time, or its ties.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import nvlink_100g_cluster, pcie_25g_cluster
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core import Espresso
 from repro.core.algorithm import device_candidate_options
-from repro.core.strategy import StrategyEvaluator
-from repro.models import synthetic_model
+from repro.core.strategy import CompressionStrategy, StrategyEvaluator
+from repro.models import available_models, get_model, synthetic_model
 from repro.sim import batch as batch_module
 from repro.sim.batch import suffix_lower_bounds
+from repro.sim.incremental import IncrementalSimulator
 from repro.utils.units import MB, MS
 
 OPTIONS = device_candidate_options()
+JOB_IDS = ("nvlink", "pcie", "compute-bound")
 
 
 def _jobs():
@@ -39,6 +47,22 @@ def _jobs():
         ],
         forward_time=15 * MS,
     )
+    # Backprop compute dwarfs every tensor's communication, so the
+    # schedule is backprop-bound and a GPU compression kernel only
+    # pushes the compute stream back; the last tensor's communication
+    # tail is what the static bound cannot see.
+    compute_bound = synthetic_model(
+        "batch-compute-bound",
+        [
+            (int(4 * MB / 4), 40 * MS),
+            (int(16 * MB / 4), 60 * MS),
+            (int(2 * MB / 4), 30 * MS),
+            (int(8 * MB / 4), 50 * MS),
+            (int(1 * MB / 4), 20 * MS),
+            (int(64 * MB / 4), 40 * MS),
+        ],
+        forward_time=100 * MS,
+    )
     # NVLink exercises intra+inter routing; PCIe shifts the bottleneck
     # and (with CPU options) the capacity-4 multi-worker resource.
     return [
@@ -54,6 +78,13 @@ def _jobs():
             gc=GCInfo("efsignsgd"),
             system=SystemInfo(
                 cluster=pcie_25g_cluster(num_machines=4, gpus_per_machine=4)
+            ),
+        ),
+        JobConfig(
+            model=compute_bound,
+            gc=GCInfo("dgc", {"ratio": 0.01}),
+            system=SystemInfo(
+                cluster=nvlink_100g_cluster(num_machines=2, gpus_per_machine=4)
             ),
         ),
     ]
@@ -81,7 +112,7 @@ def _unique_variants(evaluator, index):
     return variants
 
 
-@pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
+@pytest.mark.parametrize("job", _jobs(), ids=JOB_IDS)
 def test_batch_swap_equals_scalar_swaps(job):
     """Unbounded price_options == a from-scratch simulation of every
     candidate, exactly."""
@@ -109,7 +140,7 @@ def test_batch_swap_validation_matches_scalar():
             inc.swap_chains_flat([(index, *variant)])
 
 
-@pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
+@pytest.mark.parametrize("job", _jobs(), ids=JOB_IDS)
 def test_suffix_lower_bounds_are_sound(job):
     """Every lower bound <= the exact swapped makespan."""
     evaluator, _ = _resident(job)
@@ -123,7 +154,133 @@ def test_suffix_lower_bounds_are_sound(job):
             assert bound <= exact, (index, res, dur)
 
 
-@pytest.mark.parametrize("job", _jobs(), ids=("nvlink", "pcie"))
+def _assert_cuts_sound(inc, index, res, dur) -> int:
+    """Replay one single-chain swap under threshold pairs around its
+    exact makespan and the base's: each replay returns that exact float
+    or a cut the exact makespan justifies (it reaches ``cut_at`` or
+    exceeds ``cut_above``).  Returns the number of cuts."""
+    exact = inc.swap_chains_flat([(index, res, dur)])
+    below = exact - exact * 1e-3
+    base = inc.base_makespan
+    cuts = 0
+    for cut_at, cut_above in (
+        (below, None),
+        (None, below),
+        (exact, None),
+        (None, exact),  # a tie never exceeds: no cut
+        (math.nextafter(exact, math.inf), exact),  # no cut
+        (base, base),
+    ):
+        got = inc.swap_chains_flat([(index, res, dur)], cut_at, cut_above)
+        if got is None:
+            cuts += 1
+            assert (cut_at is not None and exact >= cut_at) or (
+                cut_above is not None and exact > cut_above
+            ), (index, res, dur, cut_at, cut_above, exact)
+        else:
+            assert got == exact, (index, res, dur, cut_at, cut_above)
+    return cuts
+
+
+def _cut_sweep(job, strategy, stride=None) -> int:
+    """:func:`_assert_cuts_sound` over every tensor x candidate on a
+    simulator of ``strategy`` (checkpoints every ``stride`` completions),
+    plus a two-chain swap of each adjacent tensor pair, which must come
+    back exact however low its thresholds.  Returns the number of cuts."""
+    evaluator = StrategyEvaluator(job, fast=True)
+    inc = IncrementalSimulator(
+        evaluator.chains(strategy),
+        cpu_capacity=job.system.cpu.parallel_workers,
+        checkpoint_stride=stride,
+    )
+    cuts = 0
+    previous = None
+    for index in range(job.model.num_tensors):
+        variants = _unique_variants(evaluator, index)
+        for res, dur in variants:
+            cuts += _assert_cuts_sound(inc, index, res, dur)
+        if previous is not None:
+            pair = [previous, (index, *variants[-1])]
+            assert inc.swap_chains_flat(pair, 0.0, 0.0) == (
+                inc.swap_chains_flat(pair)
+            )
+        previous = (index, *variants[-1])
+    return cuts
+
+
+@pytest.mark.parametrize("job", _jobs(), ids=JOB_IDS)
+def test_replay_cuts_are_sound(job):
+    """On the FP32 base and on the planned strategy, a replay given cut
+    thresholds returns the unbounded replay's exact float or a cut that
+    float justifies; multi-chain swaps never cut."""
+    cuts = _cut_sweep(job, StrategyEvaluator(job).baseline())
+    cuts += _cut_sweep(job, Espresso(job).select_strategy().strategy)
+    assert cuts > 0
+
+
+_SIZES = tuple(int(mb * MB / 4) for mb in (0.25, 2, 16, 64))
+_COMPUTE = tuple(ms * MS for ms in (0.5, 3, 12, 40))
+_GCS = (
+    GCInfo("dgc", {"ratio": 0.01}),
+    GCInfo("efsignsgd"),
+    GCInfo("randomk", {"ratio": 0.05}),
+)
+_CLUSTERS = (
+    lambda: nvlink_100g_cluster(num_machines=2, gpus_per_machine=4),
+    lambda: pcie_25g_cluster(num_machines=4, gpus_per_machine=4),
+)
+
+
+@st.composite
+def _small_jobs(draw):
+    """A random small synthetic job and a random resident strategy."""
+    tensors = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_SIZES), st.sampled_from(_COMPUTE)),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    job = JobConfig(
+        model=synthetic_model("cut-sound", tensors, forward_time=5 * MS),
+        gc=draw(st.sampled_from(_GCS)),
+        system=SystemInfo(cluster=draw(st.sampled_from(_CLUSTERS))()),
+    )
+    options = draw(
+        st.lists(
+            st.sampled_from(OPTIONS),
+            min_size=len(tensors),
+            max_size=len(tensors),
+        )
+    )
+    return job, CompressionStrategy(options=tuple(options))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_jobs(), st.sampled_from((1, 3, 7, None)))
+def test_replay_cuts_are_sound_on_random_jobs(case, stride):
+    """The same check on random small models and strategies; sparse
+    checkpoints make replays restore before the swapped chain's own
+    compute dispatch."""
+    _cut_sweep(*case, stride=stride)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model_name", available_models())
+def test_zoo_replay_cuts_are_sound(model_name):
+    """The cut soundness sweep over each zoo model's planned strategy in
+    the benchmark's zoo shape (dgc 0.01, NVLink 8x8)."""
+    job = JobConfig(
+        model=get_model(model_name),
+        gc=GCInfo("dgc", {"ratio": 0.01}),
+        system=SystemInfo(
+            cluster=nvlink_100g_cluster(num_machines=8, gpus_per_machine=8)
+        ),
+    )
+    assert _cut_sweep(job, Espresso(job).select_strategy().strategy) > 0
+
+
+@pytest.mark.parametrize("job", _jobs(), ids=JOB_IDS)
 def test_price_options_bound_preserves_winner_and_ties(job):
     """Bounded pricing returns exact times for the batch minimum and all
     its ties; pruned entries provably cannot matter to a min-taking
@@ -149,6 +306,36 @@ def test_price_options_bound_preserves_winner_and_ties(job):
                 # Sound cut: the exact time can neither beat the bound
                 # nor win/tie the batch minimum.
                 assert full[j] >= base_time or full[j] > best
+    stats = evaluator.stats
+    assert stats.replay_cuts <= stats.batch_pruned
+    if job.model.name == "batch-compute-bound":
+        # Backprop-bound: losing GPU candidates are cut inside the replay.
+        assert stats.replay_cuts > 0
+
+
+def test_a_replay_cut_counts_as_a_prune_and_is_not_memoized():
+    """A candidate cut inside its replay is pruned (and a replay cut),
+    not an incremental simulation; its partial replay's events count,
+    and pricing it again without a bound replays it in full."""
+    evaluator, base = _resident(_jobs()[2])
+    base_time = evaluator.iteration_time(base)
+    stats = evaluator.stats
+    for option in OPTIONS:
+        before = stats.snapshot()
+        priced = evaluator.price_options(base, 0, [option], bound=base_time)
+        if stats.replay_cuts > before.replay_cuts:
+            break
+    else:
+        pytest.fail("no candidate of tensor 0 was cut inside its replay")
+    assert priced == [None]
+    assert stats.batch_pruned == before.batch_pruned + 1
+    assert stats.replay_cuts == before.replay_cuts + 1
+    assert stats.incremental_sims == before.incremental_sims
+    assert stats.events_replayed > before.events_replayed
+    before = stats.snapshot()
+    (time,) = evaluator.price_options(base, 0, [option])
+    assert time >= base_time
+    assert stats.incremental_sims == before.incremental_sims + 1
 
 
 def test_price_options_stats_accounting():
@@ -181,17 +368,24 @@ def test_price_options_stats_accounting():
 
 
 def test_planner_stats_consistent_scalar_vs_vectorized(monkeypatch):
-    """select_strategy() with the vectorized lower bounds replaced by
-    trivial ones (pure scalar pricing, nothing pruned) makes
-    bit-identical decisions, and the batch counters describe the same
-    candidate stream; only pruning differs."""
+    """select_strategy() with both lower bounds switched off — the
+    vectorized static bounds replaced by trivial ones, and every replay
+    run without cut thresholds (pure scalar pricing, nothing pruned) —
+    makes bit-identical decisions, and the batch counters describe the
+    same candidate stream; only pruning differs."""
     job = _jobs()[0]
     fast = Espresso(job).select_strategy()
+    unbounded_swap = IncrementalSimulator.swap_chains_flat
     with monkeypatch.context() as patch:
         patch.setattr(
             batch_module,
             "suffix_lower_bounds",
             lambda sim, index, variants: [0.0] * len(variants),
+        )
+        patch.setattr(
+            IncrementalSimulator,
+            "swap_chains_flat",
+            lambda sim, replacements, *cuts: unbounded_swap(sim, replacements),
         )
         scalar = Espresso(job).select_strategy()
     assert scalar.strategy.options == fast.strategy.options
@@ -207,6 +401,7 @@ def test_planner_stats_consistent_scalar_vs_vectorized(monkeypatch):
     assert s_scalar.batch_candidates == s_fast.batch_candidates
     assert s_scalar.fs_calls == s_fast.fs_calls
     assert s_scalar.batch_pruned == 0 < s_fast.batch_pruned
+    assert s_scalar.replay_cuts == 0
     for stats in (s_fast, s_scalar):
         assert stats.batch_fallbacks == 0
         assert 0.0 <= stats.cache_hit_rate <= 1.0

@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -51,6 +53,28 @@ def test_plan_stats_reports_how_algorithm2_was_solved(capsys):
     assert rows["passes"] >= 1
     assert rows["by coordinate descent"] == 0
     assert rows["trials priced"] <= rows["Theorem 1 combinations"]
+
+
+def test_plan_stats_reports_cuts_inside_the_replay(capsys):
+    """The batch table says where a prune came from: a sub-row counts
+    the candidates the replay's critical-path bound cut part-way."""
+    assert main([
+        "plan", "--model", "lstm", "--gc", "dgc", "--ratio", "0.01",
+        "--stats",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(
+        i for i, line in enumerate(lines)
+        if line.split() == ["batch", "pricing", "value"]
+    )
+    rows = {}
+    for line in lines[header + 2:]:
+        if not line.strip():
+            break
+        name, value = re.split(r"\s{2,}", line.strip())[:2]
+        rows[name] = int(value.split()[0].replace(",", ""))
+    assert rows["cut inside the replay"] == 33
+    assert rows["cut inside the replay"] <= rows["pruned by lower bound"]
 
 
 def test_compare_command(capsys):
