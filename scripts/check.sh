@@ -123,7 +123,7 @@ run_phase python scripts/profile_planner.py resnet101 --top 10 --sort tottime
 echo
 echo "== service: chaos load against repro serve, zero dropped requests =="
 # Spawns the planning server, replays a seeded request mix with
-# injected evaluator kills/stalls and deadline pressure, shuts down via
+# injected evaluator stalls and deadline pressure, shuts down via
 # SIGTERM drain, and exits non-zero on any dropped request, wire error,
 # or bit-identity mismatch.  Writes BENCH_service.json.
 run_phase python scripts/service_bench.py --requests 60 --workers 2 \

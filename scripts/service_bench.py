@@ -8,9 +8,8 @@ dropped requests** — every admitted or refused request gets exactly one
 response, each either a fresh plan, an exact cache hit, an explicitly
 ``degraded`` stale/heuristic plan, or a one-line refusal.
 
-The mix exercises all three failure injections at once:
+The mix exercises both failure injections at once:
 
-* worker kills   (``--kill-rate``: evaluator dies, server retries)
 * slow evaluators (``--slow-rate``: evaluation stalls, deadlines bite)
 * deadline pressure (``--tight-rate``: a slice of requests carries a
   deadline far below planning cost, forcing the degradation ladder)
@@ -28,7 +27,7 @@ Examples::
 
     python scripts/service_bench.py                       # full run (200)
     python scripts/service_bench.py --requests 60 --sigterm
-    python scripts/service_bench.py --kill-rate 0 --slow-rate 0  # clean
+    python scripts/service_bench.py --slow-rate 0         # clean
 """
 
 from __future__ import annotations
@@ -168,10 +167,7 @@ def spawn_server(args: argparse.Namespace):
         "--deadline", str(args.deadline),
         "--breaker-threshold", str(args.breaker_threshold),
         "--breaker-cooldown", str(args.breaker_cooldown),
-        "--retries", "2",
-        "--retry-backoff", "0.05",
         "--chaos-seed", str(args.seed),
-        "--chaos-kill-rate", str(args.kill_rate),
         "--chaos-slow-rate", str(args.slow_rate),
         "--chaos-slow-seconds", str(args.slow_seconds),
     ]
@@ -319,7 +315,6 @@ async def amain(args: argparse.Namespace) -> int:
             "deadline_s": args.deadline,
             "tight_deadline_s": args.tight_deadline,
             "tight_rate": args.tight_rate,
-            "kill_rate": args.kill_rate,
             "slow_rate": args.slow_rate,
             "slow_seconds": args.slow_seconds,
             "breaker_threshold": args.breaker_threshold,
@@ -351,8 +346,6 @@ async def amain(args: argparse.Namespace) -> int:
         "errors": len(errors),
         "cache_hit_rate": stats.get("cache", {}).get("hit_rate", 0.0),
         "server": {
-            "retries": stats.get("retries"),
-            "worker_failures": stats.get("worker_failures"),
             "deadline_misses": stats.get("deadline_misses"),
             "queue_expired": stats.get("queue_expired"),
             "rejected_saturated": stats.get("rejected_saturated"),
@@ -378,9 +371,7 @@ async def amain(args: argparse.Namespace) -> int:
         f"{len(refused)} refused, {len(errors)} errors"
     )
     print(
-        f"  chaos: {report['server']['worker_failures']} kills, "
-        f"{report['server']['retries']} retries, "
-        f"{report['server']['deadline_misses']} deadline misses, "
+        f"  chaos: {report['server']['deadline_misses']} deadline misses, "
         f"breaker opened {report['server']['breaker']['opens']}x"
     )
     print(
@@ -422,10 +413,8 @@ def main() -> int:
                         help="fraction of requests with a hopeless deadline")
     parser.add_argument("--tight-deadline", type=float, default=0.02,
                         help="the hopeless deadline (seconds)")
-    parser.add_argument("--kill-rate", type=float, default=0.15,
-                        help="chaos: per-attempt evaluator kill probability")
     parser.add_argument("--slow-rate", type=float, default=0.10,
-                        help="chaos: per-attempt slow-evaluation probability")
+                        help="chaos: per-request slow-evaluation probability")
     parser.add_argument("--slow-seconds", type=float, default=0.2)
     parser.add_argument("--breaker-threshold", type=int, default=3)
     parser.add_argument("--breaker-cooldown", type=float, default=0.5)

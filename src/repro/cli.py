@@ -44,6 +44,7 @@ from repro.config import (
 from repro.core import Espresso
 from repro.core.conformance import (
     conformance_strategies,
+    validate_job,
     validate_strategy,
 )
 from repro.core.fleet import example_mixes, plan_fleet
@@ -65,8 +66,8 @@ from repro.core.robust import (
 from repro.core.strategy import StrategyEvaluator, baseline_strategy
 from repro.core.tree import search_space_size
 from repro.service.api import RequestError, preset_cluster
-from repro.service.core import PlanningCore, run_systems, validate_suite
-from repro.service.resilience import ChaosSchedule, RetryPolicy
+from repro.service.core import PlanningCore
+from repro.service.resilience import ChaosSchedule
 from repro.service.server import ServerConfig, serve
 from repro.sim.faults import ensemble_by_name
 from repro.sim.trace import write_chrome_trace
@@ -406,13 +407,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     if args.fusion or args.load:
         return cmd_plan_fusion(args, job, ratios=ratios)
-    core = PlanningCore(
-        check=args.check,
-        ratios=ratios,
-        error_budget=args.error_budget,
-    )
     try:
-        planner, result = core.plan_job_detailed(job)
+        planner, result = PlanningCore(check=args.check).plan_job_detailed(
+            job, ratios=ratios, error_budget=args.error_budget
+        )
     except ConformanceError as error:
         print(f"CONFORMANCE FAILURE during planning:\n{error}")
         return 1
@@ -513,8 +511,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         systems.append(UpperBound)
     checker = StrategyEvaluator(job, check=True) if args.check else None
     checked = 0
-    results = run_systems(job, systems)
-    for result in results:
+    for system_cls in systems:
+        result = system_cls().run(job)
         if checker is not None:
             try:
                 checker.timeline(result.strategy)
@@ -548,7 +546,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         suite = dict(conformance_strategies(job.model.num_tensors))
         named = [(args.strategy, suite[args.strategy])]
-    reports = validate_suite(job, named, oracle)
+    reports = validate_job(job, named, oracle)
 
     rows = []
     failures = 0
@@ -895,14 +893,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     chaos = None
-    if args.chaos_kill_rate > 0 or args.chaos_slow_rate > 0:
+    if args.chaos_slow_rate > 0:
         try:
             chaos = ChaosSchedule(
                 seed=args.chaos_seed,
-                kill_rate=args.chaos_kill_rate,
                 slow_rate=args.chaos_slow_rate,
                 slow_seconds=args.chaos_slow_seconds,
-                kill_attempts=args.chaos_kill_attempts,
             )
         except ValueError as error:
             raise CLIConfigError(str(error)) from None
@@ -915,10 +911,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             default_deadline_s=args.deadline if args.deadline > 0 else None,
             check=args.check,
             cache_entries=args.cache_entries,
-            retry=RetryPolicy(
-                max_retries=args.retries,
-                backoff_base=args.retry_backoff,
-            ),
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_s=args.breaker_cooldown,
             chaos=chaos,
@@ -1058,7 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser(
         "serve",
-        help="run the resilient planning service: deadlines, retries, "
+        help="run the resilient planning service: deadlines, "
              "circuit-broken degradation, graceful drain",
     )
     srv.add_argument("--host", default="127.0.0.1")
@@ -1078,29 +1070,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "timeline the planner materializes")
     srv.add_argument("--cache-entries", type=int, default=256,
                      help="strategy-cache capacity (LRU)")
-    srv.add_argument("--retries", type=int, default=2,
-                     help="retries after an evaluator worker death")
-    srv.add_argument("--retry-backoff", type=float, default=0.05,
-                     help="base of the exponential retry backoff (seconds)")
     srv.add_argument("--breaker-threshold", type=int, default=3,
-                     help="consecutive failures/deadline misses that open "
-                          "the circuit breaker")
+                     help="consecutive deadline misses/planner errors "
+                          "that open the circuit breaker")
     srv.add_argument("--breaker-cooldown", type=float, default=2.0,
                      help="seconds the breaker stays open before a "
                           "half-open probe")
     srv.add_argument("--chaos-seed", type=int, default=0,
                      help="seed for deterministic fault injection")
-    srv.add_argument("--chaos-kill-rate", type=float, default=0.0,
-                     help="per-attempt probability of an injected "
-                          "evaluator kill")
     srv.add_argument("--chaos-slow-rate", type=float, default=0.0,
-                     help="per-attempt probability of an injected slow "
+                     help="per-request probability of an injected slow "
                           "evaluation")
     srv.add_argument("--chaos-slow-seconds", type=float, default=0.25,
                      help="duration of an injected slow evaluation")
-    srv.add_argument("--chaos-kill-attempts", type=int, default=1,
-                     help="attempts (per request) the kill injection may "
-                          "hit; 1 means a retry always heals a kill")
     srv.set_defaults(func=cmd_serve)
 
     models = sub.add_parser("models", help="list the benchmark models")

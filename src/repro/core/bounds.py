@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 from repro.compression.base import CompressedTensor, Compressor
 from repro.config import JobConfig
 from repro.core.options import CompressionOption
-from repro.core.strategy import CompressionStrategy, StrategyEvaluator
+from repro.core.strategy import StrategyEvaluator
 
 
 class FreeCompression(Compressor):
@@ -68,11 +68,7 @@ def upper_bound_iteration_time(
         refinement_sweep,
     )
     from repro.core.options import Device
-    from repro.core.presets import (
-        double_compression_option,
-        inter_allgather_option,
-        inter_alltoall_option,
-    )
+    from repro.core.presets import uniform_strategies
 
     evaluator = upper_bound_evaluator(job)
     if candidates is None:
@@ -83,13 +79,9 @@ def upper_bound_iteration_time(
     strategy, best_time = result.strategy, result.iteration_time
     # Seed from the best uniform strategy too, then polish with one
     # sweep — the bound should be as tight as the search can make it.
-    n = job.model.num_tensors
-    for builder in (
-        inter_allgather_option,
-        inter_alltoall_option,
-        double_compression_option,
+    for _, uniform in uniform_strategies(
+        job.model.num_tensors, devices=(Device.GPU,)
     ):
-        uniform = CompressionStrategy(options=(builder(Device.GPU),) * n)
         uniform_time = evaluator.iteration_time(uniform)
         if uniform_time < best_time:
             strategy, best_time = uniform, uniform_time

@@ -19,12 +19,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
-from repro.core.options import Device, canonical_key
-from repro.core.presets import (
-    double_compression_option,
-    inter_allgather_option,
-    inter_alltoall_option,
-)
+from repro.core.options import canonical_key
+from repro.core.presets import uniform_strategies
 from repro.core.strategy import (
     CompressionStrategy,
     StrategyEvaluator,
@@ -60,24 +56,10 @@ def conformance_strategies(
     num_tensors: int,
 ) -> List[Tuple[str, CompressionStrategy]]:
     """The default (name, strategy) suite for a ``num_tensors`` model."""
-    suite: List[Tuple[str, CompressionStrategy]] = [
+    return [
         ("baseline", baseline_strategy(num_tensors)),
         ("baseline-flat", baseline_strategy(num_tensors, flat=True)),
-    ]
-    builders = (
-        ("allgather", inter_allgather_option),
-        ("alltoall", inter_alltoall_option),
-        ("double", double_compression_option),
-    )
-    for label, builder in builders:
-        for device in (Device.GPU, Device.CPU):
-            suite.append(
-                (
-                    f"{label}-{device.value}",
-                    CompressionStrategy(options=(builder(device),) * num_tensors),
-                )
-            )
-    return suite
+    ] + uniform_strategies(num_tensors)
 
 
 def validate_strategy(

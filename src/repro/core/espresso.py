@@ -24,11 +24,7 @@ from repro.core.algorithm import (
 )
 from repro.core.offload import OffloadResult, cpu_offload_decision
 from repro.core.options import CompressionOption, Device, ladder_options
-from repro.core.presets import (
-    double_compression_option,
-    inter_allgather_option,
-    inter_alltoall_option,
-)
+from repro.core.presets import uniform_strategies
 from repro.core.strategy import (
     CompressionStrategy,
     EvaluatorStats,
@@ -277,24 +273,21 @@ class Espresso:
         # whichever seed won.  Under an error budget a uniform seed is
         # only admissible if the whole strategy fits the budget.
         portfolio_seeded = False
-        n = self.job.model.num_tensors
-        builders = (
-            (inter_allgather_option, inter_alltoall_option, double_compression_option)
+        seeds = (
+            uniform_strategies(self.job.model.num_tensors)
             if self._use_portfolio
             else ()
         )
-        for builder in builders:
-            for device in (Device.GPU, Device.CPU):
-                uniform = CompressionStrategy(options=(builder(device),) * n)
-                if (
-                    self._error_budget is not None
-                    and not self._error_budget.admits_strategy(uniform)
-                ):
-                    continue
-                uniform_time = self.evaluator.iteration_time(uniform)
-                if uniform_time < best_time:
-                    strategy, best_time = uniform, uniform_time
-                    portfolio_seeded = True
+        for _, uniform in seeds:
+            if (
+                self._error_budget is not None
+                and not self._error_budget.admits_strategy(uniform)
+            ):
+                continue
+            uniform_time = self.evaluator.iteration_time(uniform)
+            if uniform_time < best_time:
+                strategy, best_time = uniform, uniform_time
+                portfolio_seeded = True
 
         reoffload_seconds = 0.0
         sweeps_run = 0

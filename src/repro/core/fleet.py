@@ -13,9 +13,10 @@ leave behind.  This module closes the loop on top of the projection in
   snapshot, which keeps the rounds deterministic and order-free).  A
   repeated assignment signature without convergence is a cycle: the
   deterministic oscillation detector stops the iteration and falls back
-  to :func:`~repro.core.robust.robust_select` with the CVaR objective
+  to :func:`~repro.core.robust.robust_pick` with the CVaR objective
   over the *observed contention envelope* — the degraded link states
-  the iteration actually visited.  Finally the portfolio guarantee: the
+  the iteration actually visited — pricing the plans the rounds
+  already made for those states.  Finally the portfolio guarantee: the
   joint assignment and the selfish assignment are priced by the same
   one-shot contention evaluation, and whichever aggregates more
   throughput ships — joint planning is never worse than selfish, by
@@ -54,7 +55,7 @@ from repro.core.robust import (
     CVAR,
     DegradationTable,
     ReplanLedger,
-    robust_select,
+    robust_pick,
 )
 from repro.core.strategy import CompressionStrategy, StrategyEvaluator
 from repro.sim.faults import CPUContention, DegradedLink, FaultModel, INTER_SCOPE
@@ -315,9 +316,9 @@ def plan_fleet(
         min_share: bandwidth-share floor of the contention projection.
         check: run the unmodified invariant battery on every contended
             timeline of both the joint and the selfish evaluation.
-        cancel_check: cooperative-cancellation seam (the service's
-            deadline token), called between planner runs and installed
-            on every evaluator.
+        cancel_check: cooperative-cancellation seam (a service
+            request's ``Deadline.check``), called between planner runs
+            and installed on every evaluator.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -332,8 +333,12 @@ def plan_fleet(
 
     current = dict(selfish)
     sources = {name: SOURCE_JOINT for name in names}
-    observed: Dict[str, List[FaultModel]] = {name: [] for name in names}
-    observed_keys: Dict[str, set] = {name: set() for name in names}
+    # Per tenant, in order of first sight: each degraded contention
+    # model the rounds visited (keyed by its faults, since every model
+    # of tenant X is named "fleet:X") and the plan made for it then.
+    observed: Dict[str, Dict[str, Tuple[FaultModel, CompressionStrategy]]] = {
+        name: {} for name in names
+    }
     history = {_signature(names, current)}
     converged = False
     oscillated = False
@@ -343,12 +348,6 @@ def plan_fleet(
         evaluation = evaluate_assignment(
             fleet, current, min_share=min_share, cancel_check=cancel_check
         )
-        for name in names:
-            model = evaluation.models[name]
-            key = _model_key(model)
-            if not model.is_nominal and key not in observed_keys[name]:
-                observed_keys[name].add(key)
-                observed[name].append(model)
         perturbed_jobs = [
             evaluation.models[name].apply_to_job(jobs_by_name[name])
             for name in names
@@ -356,6 +355,12 @@ def plan_fleet(
         next_assignment = dict(
             zip(names, _plan_jobs(perturbed_jobs, planner_factory, cancel_check))
         )
+        for name in names:
+            model = evaluation.models[name]
+            if not model.is_nominal:
+                observed[name].setdefault(
+                    _model_key(model), (model, next_assignment[name])
+                )
         next_sig = _signature(names, next_assignment)
         if next_sig == _signature(names, current):
             converged = True
@@ -372,17 +377,23 @@ def plan_fleet(
         # moving target and pick, per tenant, the strategy with the best
         # CVaR over the contention envelope the iteration actually
         # visited.  Deterministic: the envelope is an ordered dedup of
-        # observed models.
+        # observed models.  The candidates are the plans the rounds
+        # already made (the selfish plan is the nominal one), named as
+        # robust_select names its own planner runs.
         for name in names:
-            ensemble = [FaultModel.nominal()] + observed[name]
-            result = robust_select(
+            seen = list(observed[name].values())
+            planned = [("espresso-nominal", selfish[name])] + [
+                (f"espresso-{model.name}", plan) for model, plan in seen
+            ]
+            current[name] = robust_pick(
                 jobs_by_name[name],
-                ensemble=ensemble,
-                objective=CVAR,
-                cvar_alpha=cvar_alpha,
-                planner_factory=planner_factory,
-            )
-            current[name] = result.strategy
+                planned,
+                [FaultModel.nominal()] + [model for model, _ in seen],
+                CVAR,
+                cvar_alpha,
+                check=False,
+                start=time.perf_counter(),
+            ).strategy
             sources[name] = SOURCE_CVAR
 
     joint_eval = evaluate_assignment(

@@ -84,8 +84,8 @@ _BUFFER_SWEEP = ((0.25, "buffer/4"), (0.5, "buffer/2"), (1.0, "buffer"),
 class StalePlanError(Exception):
     """A cached/loaded plan no longer matches the model trace.
 
-    Raised by :meth:`PlanArtifact.check_against` and
-    :meth:`~repro.core.robust.DegradationTable.replan` when fusion-group
+    Raised by :func:`load_plan`, :meth:`PlanArtifact.check_against` and
+    a :class:`FusionPlanner` pinned to a plan when fusion-group
     boundaries were decided against a different tensor trace than the
     one being planned — re-using them would silently misprice every
     bucket.  The CLI reports the one-line message and exits 2, matching

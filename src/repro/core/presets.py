@@ -4,6 +4,8 @@ initialization and the Fig. 15 ablation mechanisms."""
 
 from __future__ import annotations
 
+from typing import List, Sequence, Tuple
+
 from repro.core.options import (
     Action,
     ActionTask,
@@ -12,6 +14,7 @@ from repro.core.options import (
     Phase,
     RoutineName,
 )
+from repro.core.strategy import CompressionStrategy
 
 
 def _act(
@@ -96,3 +99,29 @@ def double_compression_option(device: Device) -> CompressionOption:
         ),
         flat=False,
     )
+
+
+def uniform_strategies(
+    num_tensors: int, devices: Sequence[Device] = (Device.GPU, Device.CPU)
+) -> List[Tuple[str, CompressionStrategy]]:
+    """Every tensor on one preset pipeline, per preset and device.
+
+    Returns ``("<preset>-<device>", strategy)`` pairs, preset-major
+    (allgather, alltoall, double) and in ``devices`` order within each
+    preset: Espresso's portfolio seeds, robust selection's uniform
+    candidates, the default conformance suite and the upper bound's
+    seeds all take them in this order.
+    """
+    presets = (
+        ("allgather", inter_allgather_option),
+        ("alltoall", inter_alltoall_option),
+        ("double", double_compression_option),
+    )
+    return [
+        (
+            f"{label}-{device.value}",
+            CompressionStrategy(options=(builder(device),) * num_tensors),
+        )
+        for label, builder in presets
+        for device in devices
+    ]

@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
-from repro.core.options import Device
-from repro.core.presets import (
-    double_compression_option,
-    inter_allgather_option,
-    inter_alltoall_option,
-)
+from repro.core.presets import uniform_strategies
 from repro.core.strategy import (
     CompressionStrategy,
     StrategyEvaluator,
@@ -193,25 +188,10 @@ def _portfolio_candidates(
     """The uniform preset strategies plus FP32 — the cheap, always-
     available candidate pool shared by robust selection and the
     degradation table."""
-    candidates: List[Tuple[str, CompressionStrategy]] = [
-        ("fp32", baseline_strategy(num_tensors)),
+    return [("fp32", baseline_strategy(num_tensors))] + [
+        (f"uniform-{name}", strategy)
+        for name, strategy in uniform_strategies(num_tensors)
     ]
-    builders = (
-        ("allgather", inter_allgather_option),
-        ("alltoall", inter_alltoall_option),
-        ("double", double_compression_option),
-    )
-    for label, builder in builders:
-        for device in (Device.GPU, Device.CPU):
-            candidates.append(
-                (
-                    f"uniform-{label}-{device.value}",
-                    CompressionStrategy(
-                        options=(builder(device),) * num_tensors
-                    ),
-                )
-            )
-    return candidates
 
 
 @dataclass
@@ -271,22 +251,13 @@ def robust_select(
     ensemble: Optional[Sequence[FaultModel]] = None,
     objective: str = WORST_CASE,
     cvar_alpha: float = 0.25,
-    planner_factory: Optional[Callable[[JobConfig], object]] = None,
     check: bool = False,
 ) -> RobustPlanResult:
     """Select the strategy minimizing a robust objective over ``ensemble``.
 
     Candidate pool: the nominal planner's strategy, one planner run per
     perturbed ensemble member (each near-optimal *somewhere*), and the
-    uniform portfolio + FP32.  Every candidate is priced on every member
-    through that member's incremental evaluator; the winner minimizes
-    the objective, with the nominal iteration time as tie-break so the
-    robust mode never picks a gratuitously slower-on-average strategy.
-
-    Args:
-        planner_factory: ``job -> planner`` override (tests inject a
-            cheaper configuration); defaults to
-            :class:`~repro.core.espresso.Espresso` with stock settings.
+    uniform portfolio + FP32, scored by :func:`robust_pick`.
     """
     from repro.core.espresso import Espresso  # circular-import guard
 
@@ -294,27 +265,48 @@ def robust_select(
         ensemble = default_ensemble()
     if not ensemble:
         raise ValueError("ensemble must have at least one member")
-    score = _objective_fn(objective, cvar_alpha)
-    if planner_factory is None:
-        planner_factory = Espresso
+    # Refuse a bad objective before paying for the planner runs.
+    _objective_fn(objective, cvar_alpha)
 
     start = time.perf_counter()
-    default_strategy = planner_factory(job).select_strategy().strategy
-
-    candidates: List[Tuple[str, CompressionStrategy]] = [
-        ("espresso-nominal", default_strategy)
-    ]
+    planned = [("espresso-nominal", Espresso(job).select_strategy().strategy)]
     for fault_model in ensemble:
         if fault_model.is_nominal:
             continue
         perturbed = fault_model.apply_to_job(job)
-        candidates.append(
+        planned.append(
             (
                 f"espresso-{fault_model.name}",
-                planner_factory(perturbed).select_strategy().strategy,
+                Espresso(perturbed).select_strategy().strategy,
             )
         )
-    candidates.extend(_portfolio_candidates(job.model.num_tensors))
+    return robust_pick(
+        job, planned, ensemble, objective, cvar_alpha, check, start
+    )
+
+
+def robust_pick(
+    job: JobConfig,
+    planned: Sequence[Tuple[str, CompressionStrategy]],
+    ensemble: Sequence[FaultModel],
+    objective: str,
+    cvar_alpha: float,
+    check: bool,
+    start: float,
+) -> RobustPlanResult:
+    """The robust pick over already-planned candidates.
+
+    ``planned`` holds the planner-derived ``(name, strategy)`` pairs,
+    the nominal plan first as ``"espresso-nominal"``; the uniform
+    portfolio + FP32 join them.  Every candidate is priced on every
+    member through that member's incremental evaluator; the winner
+    minimizes the objective, with the nominal iteration time as
+    tie-break so the robust mode never picks a gratuitously
+    slower-on-average strategy.  ``start`` is the ``perf_counter``
+    reading ``selection_seconds`` counts from.
+    """
+    score = _objective_fn(objective, cvar_alpha)
+    candidates = list(planned) + _portfolio_candidates(job.model.num_tensors)
 
     # Deduplicate by fingerprint, keeping first names (planner-derived
     # candidates take precedence over portfolio duplicates).
@@ -344,7 +336,7 @@ def robust_select(
         objective=objective,
         objective_value=score([value for _, value in best.times]),
         nominal_time=best.nominal_time,
-        default_strategy=default_strategy,
+        default_strategy=planned[0][1],
         default_objective_value=score(
             [value for _, value in default_entry.times]
         ),
@@ -444,32 +436,6 @@ class DegradationTable:
     #: Worst observed single-plan time; the budget gate for full replans.
     max_plan_seconds: float = 0.0
     _planner_factory: Optional[Callable[[JobConfig], object]] = None
-    #: Fusion-group boundaries every entry was planned under; ``None``
-    #: for per-tensor tables.  :meth:`replan` refuses to score entries
-    #: against a model trace the boundaries no longer partition.
-    fusion_plan: Optional["FusionPlan"] = None
-
-    def _fused(self, job: JobConfig) -> JobConfig:
-        """``job`` under this table's fusion plan, stale-checked.
-
-        Every cached strategy is indexed by the fused model's tensors;
-        scoring it against a job the plan no longer partitions would
-        silently misprice every bucket, so a mismatch is a refusal
-        (:class:`~repro.core.fusion.StalePlanError`, exit 2 in the CLI)
-        rather than a fallback.
-        """
-        if self.fusion_plan is None:
-            return job
-        from repro.core.fusion import StalePlanError, fused_job
-
-        if self.fusion_plan.num_tensors != job.model.num_tensors:
-            raise StalePlanError(
-                f"stale plan: degradation table boundaries partition "
-                f"{self.fusion_plan.num_tensors} tensors but model "
-                f"{job.model.name!r} traces {job.model.num_tensors}; "
-                f"rebuild the table"
-            )
-        return fused_job(job, self.fusion_plan)
 
     @classmethod
     def build(
@@ -477,7 +443,6 @@ class DegradationTable:
         job: JobConfig,
         ensemble: Optional[Sequence[FaultModel]] = None,
         planner_factory: Optional[Callable[[JobConfig], object]] = None,
-        fusion_plan: Optional["FusionPlan"] = None,
     ) -> "DegradationTable":
         from repro.core.espresso import Espresso  # circular-import guard
 
@@ -485,11 +450,9 @@ class DegradationTable:
             ensemble = default_ensemble()
         if planner_factory is None:
             planner_factory = Espresso
-        table = cls(
-            job=job, _planner_factory=planner_factory, fusion_plan=fusion_plan
-        )
+        table = cls(job=job, _planner_factory=planner_factory)
         for fault_model in ensemble:
-            perturbed = table._fused(fault_model.apply_to_job(job))
+            perturbed = fault_model.apply_to_job(job)
             start = time.perf_counter()
             result = planner_factory(perturbed).select_strategy()
             seconds = time.perf_counter() - start
@@ -541,17 +504,7 @@ class DegradationTable:
         effective_budget = budget_seconds
         if ledger is not None:
             effective_budget = min(budget_seconds, ledger.remaining())
-        perturbed = self._fused(fault_model.apply_to_job(self.job))
-        num_tensors = perturbed.model.num_tensors
-        for entry in self.entries.values():
-            if len(entry.strategy) != num_tensors:
-                from repro.core.fusion import StalePlanError
-
-                raise StalePlanError(
-                    f"stale plan: cached entry {entry.fault_name!r} decides "
-                    f"{len(entry.strategy)} tensors but the degraded job "
-                    f"traces {num_tensors}; rebuild the table"
-                )
+        perturbed = fault_model.apply_to_job(self.job)
         evaluator = StrategyEvaluator(perturbed)
 
         candidates: List[Tuple[str, CompressionStrategy]] = [
@@ -560,7 +513,9 @@ class DegradationTable:
         ]
         candidates.extend(
             (f"portfolio:{name}", strategy)
-            for name, strategy in _portfolio_candidates(num_tensors)
+            for name, strategy in _portfolio_candidates(
+                perturbed.model.num_tensors
+            )
         )
         seen = set()
         best_name, best_strategy, best_time = "", None, math.inf

@@ -19,16 +19,13 @@ alpha-beta greedy built on :func:`~repro.core.fusion.estimate_alpha_beta`'s
 link fit.  It compresses exactly the tensors whose bandwidth saving
 clearly clears the extra launch cost, prices the result with one F(S)
 call, and never returns anything worse than FP32.
-
-The ``run_systems`` / ``validate_suite`` helpers used by ``repro
-compare`` and ``repro validate`` live here too (moved from ``cli.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.config import JobConfig
 from repro.core import Espresso
@@ -40,7 +37,6 @@ from repro.core.strategy import (
     StrategyEvaluator,
     baseline_strategy,
 )
-from repro.core.conformance import validate_strategy
 from repro.service.api import (
     FleetRequest,
     PlanRequest,
@@ -192,17 +188,8 @@ class PlanningCore:
     configured the same way run byte-for-byte the same selection.
     """
 
-    def __init__(
-        self,
-        check: bool = False,
-        ratios: Optional[Sequence[float]] = None,
-        error_budget: Optional[float] = None,
-    ) -> None:
+    def __init__(self, check: bool = False) -> None:
         self.check = check
-        #: Default ratio-ladder knobs applied to every plan; a wire
-        #: request carrying its own values overrides them per call.
-        self.ratios = tuple(ratios) if ratios else None
-        self.error_budget = error_budget
 
     def plan_job_detailed(
         self,
@@ -215,39 +202,22 @@ class PlanningCore:
 
         The CLI's ``--check`` path needs the planner back (its evaluator
         carries the timelines-checked counter and the warm memo cache
-        the post-selection audit reuses); everything else should call
-        :meth:`plan_job`.
+        the post-selection audit reuses).
 
-        ``cancel_check`` (typically ``CancelToken.check``) is installed
-        on the evaluator so deadline expiry aborts the selection from
-        inside its innermost pricing loops.
+        ``cancel_check`` (the server passes the request's
+        ``Deadline.check``) is installed on the evaluator so deadline
+        expiry aborts the selection from inside its innermost pricing
+        loops.
         """
         planner = Espresso(
             job,
             check=self.check,
-            ratios=self.ratios if ratios is None else tuple(ratios),
-            error_budget=(
-                self.error_budget if error_budget is None else error_budget
-            ),
+            ratios=tuple(ratios) if ratios else None,
+            error_budget=error_budget,
         )
         if cancel_check is not None:
             planner.evaluator.cancel_check = cancel_check
         return planner, planner.select_strategy()
-
-    def plan_job(
-        self,
-        job: JobConfig,
-        cancel_check: Optional[Callable[[], None]] = None,
-        ratios: Optional[Sequence[float]] = None,
-        error_budget: Optional[float] = None,
-    ):
-        """Run the full Espresso selection for ``job``."""
-        return self.plan_job_detailed(
-            job,
-            cancel_check=cancel_check,
-            ratios=ratios,
-            error_budget=error_budget,
-        )[1]
 
     def plan_request(
         self,
@@ -256,10 +226,10 @@ class PlanningCore:
     ) -> CacheEntry:
         """Fresh plan for a wire request, packaged for cache + response."""
         job = request.build_job()
-        result = self.plan_job(
+        _, result = self.plan_job_detailed(
             job,
             cancel_check=cancel_check,
-            ratios=tuple(request.ratios) if request.ratios else None,
+            ratios=request.ratios,
             error_budget=request.error_budget,
         )
         return make_entry(
@@ -386,20 +356,6 @@ def heuristic_plan(
     return strategy, iteration_time, baseline_time
 
 
-def run_systems(job: JobConfig, systems: Sequence) -> List:
-    """Each system's BaselineResult, in ``systems`` order."""
-    return [system_cls().run(job) for system_cls in systems]
-
-
-def validate_suite(job: JobConfig, named: Sequence, oracle: bool) -> List:
-    """Conformance reports for the ``named`` strategies, in order."""
-    evaluator = StrategyEvaluator(job)
-    return [
-        validate_strategy(evaluator, strategy, name=name, oracle=oracle)
-        for name, strategy in named
-    ]
-
-
 __all__ = [
     "CacheEntry",
     "PlanningCore",
@@ -407,6 +363,4 @@ __all__ = [
     "heuristic_fleet",
     "heuristic_plan",
     "make_entry",
-    "run_systems",
-    "validate_suite",
 ]

@@ -1,25 +1,22 @@
 """Failure-handling primitives for the planning service (DESIGN.md §5.9).
 
-Four small, separately-testable pieces:
+Three small, separately-testable pieces:
 
-* :class:`Deadline` / :class:`CancelToken` — cooperative cancellation.
-  The planner's inner pricing loops call ``token.check()`` (installed on
+* :class:`Deadline` — cooperative cancellation.  The planner's inner
+  pricing loops call ``deadline.check()`` (installed on
   :class:`~repro.core.strategy.StrategyEvaluator` as ``cancel_check``),
   which raises :class:`DeadlineExceeded` the moment the budget runs out,
   so a slow evaluation stops mid-sweep instead of burning the worker
   until it finishes.
-* :class:`RetryPolicy` — bounded retries with the repo-wide exponential
-  backoff (:func:`repro.utils.backoff.backoff_delay`), shared with
-  training supervision.
 * :class:`CircuitBreaker` — CLOSED / OPEN / HALF_OPEN.  After K
-  *consecutive* evaluator failures or deadline misses the breaker
-  opens and the server stops feeding the planner, serving degraded
-  answers instead; after a cooldown it lets exactly one probe through
-  (half-open) and closes again only if the probe succeeds.
+  *consecutive* deadline misses or unexpected planner errors the
+  breaker opens and the server stops feeding the planner, serving
+  degraded answers instead; after a cooldown it lets exactly one probe
+  through (half-open) and closes again only if the probe succeeds.
 * :class:`ChaosSchedule` — deterministic fault injection for the load
-  harness: a seeded hash of (request id, attempt) decides whether an
-  evaluation is killed or slowed, so a bench run is exactly
-  reproducible from its seed regardless of server concurrency.
+  harness: a seeded hash of the request id decides whether its
+  evaluation is slowed, so a bench run is exactly reproducible from its
+  seed regardless of server concurrency.
 
 Everything takes an injectable ``clock`` so tests drive time by hand.
 The breaker is only ever touched from the server's event loop (one
@@ -33,8 +30,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.utils.backoff import backoff_delay
-
 #: Breaker states (also the wire spelling in health payloads).
 CLOSED = "closed"
 OPEN = "open"
@@ -43,20 +38,6 @@ HALF_OPEN = "half-open"
 
 class DeadlineExceeded(Exception):
     """A request ran past its deadline (one-line diagnostic)."""
-
-
-class RequestCancelled(Exception):
-    """A request was cancelled for a reason other than its deadline
-    (e.g. server drain)."""
-
-
-class EvaluatorWorkerError(RuntimeError):
-    """An evaluator worker died mid-request.
-
-    The retriable failure class: the planning pipeline catches exactly
-    this (chaos kills raise it) and retries with backoff while budget
-    remains.
-    """
 
 
 class Deadline:
@@ -97,55 +78,6 @@ class Deadline:
                 f"deadline of {self.budget_s:.3f}s exceeded "
                 f"({self.elapsed():.3f}s elapsed)"
             )
-
-
-class CancelToken:
-    """Cooperative cancellation handle threaded into the evaluator.
-
-    ``check()`` is the single call sites use: it raises
-    :class:`RequestCancelled` after :meth:`cancel`, else defers to the
-    deadline (if any).  The flag-set happens on the event-loop thread
-    while ``check()`` runs on an executor thread; a plain bool is safe
-    there (atomic store, no compound update) and the consumer only needs
-    eventual visibility.
-    """
-
-    def __init__(self, deadline: Optional[Deadline] = None) -> None:
-        self.deadline = deadline
-        self.cancelled = False
-        self.reason = ""
-
-    def cancel(self, reason: str) -> None:
-        self.cancelled = True
-        self.reason = reason
-
-    def check(self) -> None:
-        if self.cancelled:
-            raise RequestCancelled(self.reason or "request cancelled")
-        if self.deadline is not None:
-            self.deadline.check()
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times to retry a dead evaluator, and how long to wait.
-
-    Delays follow the repo-wide doubling schedule: attempt 1 waits
-    ``backoff_base``, attempt 2 twice that, ..., clamped to
-    ``backoff_cap`` so a deep retry never sleeps past the cap.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based)."""
-        return backoff_delay(attempt, self.backoff_base, cap=self.backoff_cap)
 
 
 class CircuitBreaker:
@@ -246,25 +178,15 @@ class CircuitBreaker:
         }
 
 
-# Chaos actions returned by ChaosSchedule.action().
-KILL = "kill"
-SLOW = "slow"
-
-
 @dataclass(frozen=True)
 class ChaosSchedule:
     """Seeded, replayable fault injection for the load harness.
 
-    Each (request id, attempt) pair hashes — via a string-seeded
-    :class:`random.Random`, which CPython derives deterministically from
-    the seed text — to at most one action:
-
-    * ``"kill"``: the evaluation raises :class:`EvaluatorWorkerError`
-      before doing any work, exercising the retry path.  Kills only
-      fire on attempts below ``kill_attempts``, so a killed request
-      heals on retry unless the schedule is configured to keep killing.
-    * ``"slow"``: the evaluation sleeps ``slow_seconds`` first (in small
-      chunks, checking its cancel token), exercising deadline pressure.
+    Each request id hashes — via a string-seeded :class:`random.Random`,
+    which CPython derives deterministically from the seed text — to
+    whether its evaluation is slowed: a slowed evaluation sleeps
+    ``slow_seconds`` first (in small chunks, checking its deadline),
+    exercising deadline pressure.
 
     Keying on the *client-chosen request id* rather than a server-side
     sequence number makes a run reproducible from the seed alone, no
@@ -272,53 +194,39 @@ class ChaosSchedule:
     """
 
     seed: int = 0
-    kill_rate: float = 0.0
     slow_rate: float = 0.0
     slow_seconds: float = 0.25
-    kill_attempts: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("kill_rate", "slow_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 <= self.slow_rate <= 1.0:
+            raise ValueError(
+                f"slow_rate must be in [0, 1], got {self.slow_rate}"
+            )
 
     @property
     def active(self) -> bool:
-        return self.kill_rate > 0 or self.slow_rate > 0
+        return self.slow_rate > 0
 
-    def action(self, request_id: str, attempt: int) -> Optional[str]:
-        """The injected fault for this (request, attempt), if any."""
+    def slows(self, request_id: str) -> bool:
+        """Whether this request's evaluation is slowed."""
         if not self.active:
-            return None
-        rng = random.Random(f"chaos:{self.seed}:{request_id}:{attempt}")
-        roll = rng.random()
-        if roll < self.kill_rate:
-            return KILL if attempt < self.kill_attempts else None
-        if roll < self.kill_rate + self.slow_rate:
-            return SLOW
-        return None
+            return False
+        rng = random.Random(f"chaos:{self.seed}:{request_id}")
+        return rng.random() < self.slow_rate
 
     def describe(self) -> str:
         return (
-            f"seed={self.seed} kill_rate={self.kill_rate} "
-            f"slow_rate={self.slow_rate} slow_seconds={self.slow_seconds} "
-            f"kill_attempts={self.kill_attempts}"
+            f"seed={self.seed} slow_rate={self.slow_rate} "
+            f"slow_seconds={self.slow_seconds}"
         )
 
 
 __all__ = [
     "CLOSED",
-    "CancelToken",
     "ChaosSchedule",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
-    "EvaluatorWorkerError",
     "HALF_OPEN",
-    "KILL",
     "OPEN",
-    "RequestCancelled",
-    "RetryPolicy",
-    "SLOW",
 ]

@@ -8,8 +8,7 @@ Request lifecycle, shared by the ``plan`` and ``fleet`` ops::
                  -> saturation gate -> bounded queue
       -> worker -> exact-cache re-check -> queue-expiry check
                 -> circuit breaker gate
-                -> plan attempt (executor thread, cooperative deadline)
-                     -> retry w/ backoff on evaluator death
+                -> one plan attempt (executor thread, cooperative deadline)
                 -> degradation ladder (stale cache -> heuristic -> refusal)
       -> response frame
 
@@ -17,6 +16,9 @@ Every admitted request is answered exactly once, within its deadline
 regime: a fresh plan, an exact cache hit, an explicitly ``degraded``
 stale/heuristic plan, or a one-line refusal.  Nothing is silently
 dropped — the load harness (`scripts/service_bench.py`) asserts this.
+A request gets one planning attempt: the planner is a deterministic
+in-process function of the request, so a second attempt on the same
+request would fail the same way.
 
 Concurrency model: one event loop; ``workers`` asyncio workers each
 drive one planning call at a time on a same-width thread pool.  The
@@ -50,7 +52,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.service.api import (
@@ -77,17 +79,10 @@ from repro.service.core import (
     make_entry,
 )
 from repro.service.resilience import (
-    KILL,
-    OPEN,
-    SLOW,
-    CancelToken,
     ChaosSchedule,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
-    EvaluatorWorkerError,
-    RequestCancelled,
-    RetryPolicy,
 )
 
 
@@ -103,7 +98,6 @@ class ServerConfig:
     default_deadline_s: Optional[float] = 30.0
     check: bool = False
     cache_entries: int = 256
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 2.0
     chaos: Optional[ChaosSchedule] = None
@@ -132,8 +126,6 @@ class ServiceStats:
     rejected_saturated: int = 0
     rejected_draining: int = 0
     errors: int = 0
-    retries: int = 0
-    worker_failures: int = 0
     deadline_misses: int = 0
     queue_expired: int = 0
 
@@ -579,7 +571,7 @@ class PlanningServer:
         return self._answer(ticket, entry, SOURCE_CACHE, attempts=0)
 
     async def _process(self, ticket: _Ticket) -> dict:
-        """Queue expiry, breaker gate, attempts with retry, ladder."""
+        """Queue expiry, breaker gate, one planning attempt, ladder."""
         # An identical request may have been planned while this one
         # was queued.
         hit = self._cache_hit(ticket)
@@ -605,78 +597,41 @@ class PlanningServer:
                 f"failures); planner bypassed",
             )
 
-        attempts = 0
-        while True:
-            attempts += 1
-            token = CancelToken(deadline)
-            try:
-                answer = await asyncio.get_running_loop().run_in_executor(
-                    self._executor,
-                    self._attempt,
-                    ticket,
-                    token,
-                    attempts - 1,
-                )
-            except EvaluatorWorkerError as error:
-                self.stats.worker_failures += 1
-                self.breaker.record_failure()
-                if self.breaker.state == OPEN:
-                    return await self._degraded(
-                        ticket,
-                        f"circuit breaker opened after evaluator "
-                        f"failure: {error}",
-                    )
-                delay = self.config.retry.delay(attempts)
-                if (
-                    attempts > self.config.retry.max_retries
-                    or deadline.remaining() <= delay
-                ):
-                    return await self._degraded(
-                        ticket,
-                        f"evaluator failed {attempts}x "
-                        f"(last: {error}); retries exhausted",
-                    )
-                self.stats.retries += 1
-                await asyncio.sleep(delay)
-                continue
-            except (DeadlineExceeded, RequestCancelled) as error:
-                self.stats.deadline_misses += 1
-                self.breaker.record_failure()
-                return await self._degraded(ticket, str(error))
-            except Exception:
-                # Any other planner failure is charged too, so that a
-                # half-open probe never stays in flight; the worker's
-                # net answers the request.
-                self.breaker.record_failure()
-                raise
-            self.breaker.record_success()
-            ticket.op.keep(self.cache, answer)
-            self.stats.fresh += 1
-            return self._answer(
-                ticket, answer, SOURCE_FRESH, attempts=attempts
+        try:
+            answer = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._attempt, ticket
             )
+        except DeadlineExceeded as error:
+            self.stats.deadline_misses += 1
+            self.breaker.record_failure()
+            return await self._degraded(ticket, str(error))
+        except Exception:
+            # Any other planner failure is charged too, so that a
+            # half-open probe never stays in flight; the worker's net
+            # answers the request.
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        ticket.op.keep(self.cache, answer)
+        self.stats.fresh += 1
+        return self._answer(ticket, answer, SOURCE_FRESH)
 
-    def _attempt(self, ticket: _Ticket, token: CancelToken, attempt: int):
-        """One planning attempt on an executor thread (chaos applies)."""
+    def _attempt(self, ticket: _Ticket):
+        """The planning attempt on an executor thread (chaos applies)."""
+        deadline = ticket.deadline
         chaos = self.config.chaos
-        if chaos is not None and chaos.active:
-            action = chaos.action(ticket.request.request_id, attempt)
-            if action == KILL:
-                raise EvaluatorWorkerError(
-                    f"injected evaluator kill (chaos, attempt {attempt})"
-                )
-            if action == SLOW:
-                self._chaos_sleep(chaos.slow_seconds, token)
-        token.check()
+        if chaos is not None and chaos.slows(ticket.request.request_id):
+            self._chaos_sleep(chaos.slow_seconds, deadline)
+        deadline.check()
         plan = getattr(self.core, ticket.op.core_method)
-        return plan(ticket.request, cancel_check=token.check)
+        return plan(ticket.request, cancel_check=deadline.check)
 
     @staticmethod
-    def _chaos_sleep(seconds: float, token: CancelToken) -> None:
+    def _chaos_sleep(seconds: float, deadline: Deadline) -> None:
         """Injected evaluator slowness, still deadline-cancellable."""
         end = time.monotonic() + seconds
         while True:
-            token.check()
+            deadline.check()
             left = end - time.monotonic()
             if left <= 0:
                 return

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compression.base import CompressedTensor, Compressor
-from repro.utils.backoff import backoff_delay
 
 
 class CompressorFault(RuntimeError):
@@ -131,7 +130,7 @@ class TrainingSupervisor:
 
     def backoff(self, attempt: int) -> None:
         """Charge the exponential backoff of retry ``attempt`` (1-based)."""
-        self.backoff_seconds += backoff_delay(attempt, self.retry_backoff)
+        self.backoff_seconds += self.retry_backoff * (2 ** (attempt - 1))
 
     def active_workers(self, step: int, workers: int) -> List[int]:
         """Worker indices still in the job at ``step``."""

@@ -1,6 +1,5 @@
-"""Shared utilities: units, validation, backoff, and table rendering."""
+"""Shared utilities: units, validation, and table rendering."""
 
-from repro.utils.backoff import backoff_delay, total_backoff
 from repro.utils.units import (
     GB,
     GBPS,
@@ -29,6 +28,4 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_finite",
-    "backoff_delay",
-    "total_backoff",
 ]

@@ -38,7 +38,6 @@ from repro.core.fusion import (
 )
 from repro.core.options import Device, canonical_key, no_compression_option
 from repro.core.presets import inter_allgather_option
-from repro.core.robust import DegradationTable, DegradationEntry
 from repro.core.strategy import (
     CompressionStrategy,
     FusedStrategy,
@@ -377,48 +376,6 @@ def test_load_plan_refuses_garbage(tmp_path):
 def test_planner_refuses_mismatched_pinned_plan():
     with pytest.raises(StalePlanError):
         FusionPlanner(JOB, plan=FusionPlan.singleton(N + 1))
-
-
-def test_degradation_table_replan_refuses_stale_fusion_plan():
-    from repro.sim.faults import ensemble_by_name
-
-    fault = ensemble_by_name("default")[0]
-    stale = DegradationTable(
-        job=JOB, fusion_plan=FusionPlan.singleton(N + 3)
-    )
-    with pytest.raises(StalePlanError):
-        stale.replan(fault, budget_seconds=0.0)
-    # An entry whose strategy length no longer matches the trace is
-    # refused too (a cached table outliving a model change).
-    mangled = DegradationTable(job=JOB)
-    mangled.entries["bogus"] = DegradationEntry(
-        fault_name="bogus",
-        strategy=CompressionStrategy(
-            options=(no_compression_option(),) * (N - 1)
-        ),
-        iteration_time=1.0,
-        plan_seconds=0.0,
-    )
-    with pytest.raises(StalePlanError):
-        mangled.replan(fault, budget_seconds=0.0)
-
-
-def test_degradation_table_replans_under_fusion_plan():
-    from repro.sim.faults import ensemble_by_name
-
-    plan = candidate_plans(JOB)[-1][1]  # a real multi-tensor grouping
-    table = DegradationTable.build(
-        JOB, ensemble=ensemble_by_name("default")[:2], fusion_plan=plan
-    )
-    assert all(
-        len(entry.strategy) == plan.num_groups
-        for entry in table.entries.values()
-    )
-    result = table.replan(
-        ensemble_by_name("default")[0], budget_seconds=0.0
-    )
-    assert len(result.strategy) == plan.num_groups
-    assert result.iteration_time > 0.0
 
 
 # -- CLI surface -------------------------------------------------------------

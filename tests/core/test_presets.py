@@ -5,6 +5,7 @@ from repro.core.presets import (
     double_compression_option,
     inter_allgather_option,
     inter_alltoall_option,
+    uniform_strategies,
 )
 
 
@@ -49,3 +50,23 @@ def test_presets_exist_in_enumerated_tree():
         option = builder(Device.GPU)
         key = tuple((a.task, a.phase, a.routine) for a in option.actions)
         assert key in tree, builder.__name__
+
+
+def test_uniform_strategies_names_and_order():
+    # Robust selection breaks score ties by candidate name and the
+    # portfolio seeds keep the first strict improvement, so both the
+    # names and the preset-major order are part of the plan.
+    names = [name for name, _ in uniform_strategies(3)]
+    assert names == [
+        "allgather-gpu", "allgather-cpu",
+        "alltoall-gpu", "alltoall-cpu",
+        "double-gpu", "double-cpu",
+    ]
+    gpu_only = uniform_strategies(3, devices=(Device.GPU,))
+    assert [name for name, _ in gpu_only] == [
+        "allgather-gpu", "alltoall-gpu", "double-gpu",
+    ]
+    for _, strategy in uniform_strategies(3):
+        assert len(strategy) == 3
+        assert len(set(strategy.options)) == 1
+    assert gpu_only[1][1].options[0] == inter_alltoall_option(Device.GPU)

@@ -10,14 +10,8 @@ from repro.service.core import (
     StrategyCache,
     heuristic_plan,
     make_entry,
-    run_systems,
-    validate_suite,
 )
-from repro.service.resilience import (
-    CancelToken,
-    Deadline,
-    DeadlineExceeded,
-)
+from repro.service.resilience import Deadline, DeadlineExceeded
 
 
 def small_request(**overrides):
@@ -49,19 +43,19 @@ def test_cancel_seam_aborts_selection_from_inside_the_evaluator():
             raise DeadlineExceeded("deadline of 0.001s exceeded")
 
     with pytest.raises(DeadlineExceeded):
-        PlanningCore().plan_job(
+        PlanningCore().plan_job_detailed(
             small_request().build_job(), cancel_check=Expired()
         )
 
 
 def test_cancel_token_seam_with_fake_clock():
+    # The request's Deadline.check is the cancel seam the server installs.
     clock_value = [0.0]
     deadline = Deadline(0.5, clock=lambda: clock_value[0])
-    token = CancelToken(deadline)
     clock_value[0] = 1.0  # expire mid-flight
     with pytest.raises(DeadlineExceeded):
-        PlanningCore().plan_job(
-            small_request().build_job(), cancel_check=token.check
+        PlanningCore().plan_job_detailed(
+            small_request().build_job(), cancel_check=deadline.check
         )
 
 
@@ -145,24 +139,3 @@ def test_heuristic_is_deterministic():
     second = heuristic_plan(job)
     assert strategy_digest(first[0]) == strategy_digest(second[0])
     assert first[1:] == second[1:]
-
-
-# -- relocated CLI helpers --------------------------------------------------
-
-
-def test_run_systems_serial_matches_shape():
-    from repro.baselines import FP32, HiPress
-
-    job = small_request().build_job()
-    results = run_systems(job, [FP32, HiPress])
-    assert [r.name for r in results] == ["FP32", "HiPress"]
-
-
-def test_validate_suite_serial_reports():
-    from repro.core.conformance import conformance_strategies
-
-    job = small_request().build_job()
-    named = conformance_strategies(job.model.num_tensors)[:2]
-    reports = validate_suite(job, named, oracle=False)
-    assert [r.name for r in reports] == [name for name, _ in named]
-    assert all(r.ok for r in reports)

@@ -1,20 +1,15 @@
-"""Deadlines, retry backoff, the circuit breaker, chaos determinism."""
+"""Deadlines, the circuit breaker, chaos determinism."""
 
 import pytest
 
 from repro.service.resilience import (
     CLOSED,
     HALF_OPEN,
-    KILL,
     OPEN,
-    SLOW,
-    CancelToken,
     ChaosSchedule,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
-    RequestCancelled,
-    RetryPolicy,
 )
 
 
@@ -29,7 +24,7 @@ class FakeClock:
         self.now += seconds
 
 
-# -- Deadline / CancelToken -------------------------------------------------
+# -- Deadline ---------------------------------------------------------------
 
 
 def test_deadline_counts_down_and_raises():
@@ -56,39 +51,6 @@ def test_unbounded_deadline_never_expires():
 def test_deadline_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         Deadline(0.0)
-
-
-def test_cancel_token_explicit_cancel_beats_deadline():
-    clock = FakeClock()
-    token = CancelToken(Deadline(10.0, clock=clock))
-    token.check()
-    token.cancel("drain")
-    with pytest.raises(RequestCancelled, match="drain"):
-        token.check()
-
-
-def test_cancel_token_defers_to_deadline():
-    clock = FakeClock()
-    token = CancelToken(Deadline(1.0, clock=clock))
-    clock.advance(2.0)
-    with pytest.raises(DeadlineExceeded):
-        token.check()
-
-
-# -- RetryPolicy ------------------------------------------------------------
-
-
-def test_retry_policy_doubles_and_caps():
-    policy = RetryPolicy(max_retries=5, backoff_base=0.05, backoff_cap=0.15)
-    assert policy.delay(1) == pytest.approx(0.05)
-    assert policy.delay(2) == pytest.approx(0.10)
-    assert policy.delay(3) == pytest.approx(0.15)  # capped, not 0.20
-    assert policy.delay(4) == pytest.approx(0.15)
-
-
-def test_retry_policy_rejects_negative_retries():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_retries=-1)
 
 
 # -- CircuitBreaker ---------------------------------------------------------
@@ -174,32 +136,28 @@ def test_breaker_validates_parameters():
 
 
 def test_chaos_is_deterministic_per_request_and_attempt():
-    chaos = ChaosSchedule(seed=7, kill_rate=0.3, slow_rate=0.3)
-    actions = [chaos.action(f"req-{i}", 0) for i in range(200)]
-    again = [chaos.action(f"req-{i}", 0) for i in range(200)]
-    assert actions == again
-    assert KILL in actions and SLOW in actions and None in actions
+    chaos = ChaosSchedule(seed=7, slow_rate=0.3)
+    slowed = [chaos.slows(f"req-{i}") for i in range(200)]
+    again = [chaos.slows(f"req-{i}") for i in range(200)]
+    assert slowed == again
+    assert True in slowed and False in slowed
 
 
 def test_chaos_seed_changes_the_schedule():
-    a = ChaosSchedule(seed=1, kill_rate=0.5)
-    b = ChaosSchedule(seed=2, kill_rate=0.5)
+    a = ChaosSchedule(seed=1, slow_rate=0.5)
+    b = ChaosSchedule(seed=2, slow_rate=0.5)
     ids = [f"req-{i}" for i in range(100)]
-    assert [a.action(i, 0) for i in ids] != [b.action(i, 0) for i in ids]
-
-
-def test_chaos_kill_attempts_gate_heals_retries():
-    chaos = ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=1)
-    assert chaos.action("x", 0) == KILL
-    assert chaos.action("x", 1) is None  # the retry heals
+    assert [a.slows(i) for i in ids] != [b.slows(i) for i in ids]
 
 
 def test_chaos_inactive_when_rates_zero():
     chaos = ChaosSchedule(seed=0)
     assert not chaos.active
-    assert chaos.action("x", 0) is None
+    assert not chaos.slows("x")
 
 
 def test_chaos_validates_rates():
     with pytest.raises(ValueError):
-        ChaosSchedule(kill_rate=1.5)
+        ChaosSchedule(slow_rate=1.5)
+    with pytest.raises(ValueError):
+        ChaosSchedule(slow_rate=-0.1)

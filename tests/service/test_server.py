@@ -1,9 +1,10 @@
-"""The asyncio planning server: admission, retries, breaker, drain.
+"""The asyncio planning server: admission, deadlines, breaker, drain.
 
 Every test drives a real :class:`PlanningServer` inside ``asyncio.run``
 on a small job (lstm on 2x2) so a fresh plan costs tens of
-milliseconds.  Chaos injection is the failure source — deterministic
-per (request id, attempt), so each scenario is scripted, not flaky.
+milliseconds.  The failure source is a deadline miss: chaos stalls the
+evaluation past a short per-request deadline, deterministically per
+request id, so each scenario is scripted, not flaky.
 """
 
 import asyncio
@@ -15,7 +16,7 @@ import pytest
 from repro.core import Espresso
 from repro.core.options import DEFAULT_RATIO_LADDER
 from repro.service.api import PlanRequest, strategy_digest
-from repro.service.resilience import ChaosSchedule, OPEN, RetryPolicy
+from repro.service.resilience import ChaosSchedule, OPEN
 from repro.service.server import PlanningServer, ServerConfig
 
 
@@ -30,6 +31,12 @@ def plan_msg(request_id: str, **overrides) -> dict:
                    machines=2, gpus=2, request_id=request_id)
     message.update(overrides)
     return message
+
+
+#: Stalls every planning attempt far past :data:`MISS_DEADLINE_S`.
+STALL = ChaosSchedule(seed=0, slow_rate=1.0, slow_seconds=5.0)
+#: A per-request deadline the stalled attempt always misses.
+MISS_DEADLINE_S = 0.05
 
 
 async def drain(server: PlanningServer) -> None:
@@ -49,7 +56,9 @@ def test_fresh_then_cached_and_bit_identical():
     first, second = asyncio.run(scenario())
     assert first["status"] == "ok" and first["source"] == "fresh"
     assert not first["degraded"]
+    assert first["attempts"] == 1
     assert second["source"] == "cache" and not second["degraded"]
+    assert second["attempts"] == 0
     assert second["strategy_digest"] == first["strategy_digest"]
     # The served plan IS the plan a direct planner run selects.
     request = PlanRequest.from_dict(plan_msg("x"))
@@ -145,50 +154,6 @@ def test_tcp_wire_end_to_end():
     assert by_kind["drain"]["status"] == "draining"
 
 
-def test_killed_evaluator_retries_with_backoff_and_heals():
-    async def scenario():
-        # kill_attempts=1: attempt 0 dies, the retry succeeds.
-        server = make_server(
-            chaos=ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=1),
-            retry=RetryPolicy(max_retries=2, backoff_base=0.01),
-        )
-        await server.start()
-        response = await server.dispatch(plan_msg("a"))
-        stats = server.stats
-        await drain(server)
-        return response, stats
-
-    response, stats = asyncio.run(scenario())
-    assert response["status"] == "ok" and response["source"] == "fresh"
-    assert not response["degraded"]
-    assert response["attempts"] == 2
-    assert stats.worker_failures == 1 and stats.retries == 1
-
-
-def test_retries_exhausted_degrades_to_heuristic():
-    async def scenario():
-        # Kills never heal; the breaker threshold is high so this is
-        # purely the retries-exhausted path.
-        server = make_server(
-            chaos=ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=99),
-            retry=RetryPolicy(max_retries=2, backoff_base=0.01),
-            breaker_threshold=10,
-        )
-        await server.start()
-        response = await server.dispatch(plan_msg("a"))
-        stats = server.stats
-        await drain(server)
-        return response, stats
-
-    response, stats = asyncio.run(scenario())
-    assert response["status"] == "ok"
-    assert response["degraded"] is True
-    assert response["source"] == "heuristic"
-    assert "retries exhausted" in response["reason"]
-    assert stats.worker_failures == 3  # initial + 2 retries
-    assert stats.heuristic_serves == 1
-
-
 def test_deadline_miss_degrades_within_budget():
     async def scenario():
         # Every evaluation stalls 5s against a 0.2s deadline: the
@@ -220,34 +185,38 @@ def test_stale_cache_preferred_over_heuristic():
         await server.dispatch(plan_msg("warm"))
         # ...then break planning and ask for the same family on a
         # different cluster: the stale plan must be served, degraded.
-        server.config = dataclasses.replace(
-            server.config,
-            chaos=ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=99),
-            retry=RetryPolicy(max_retries=0, backoff_base=0.01),
+        server.config = dataclasses.replace(server.config, chaos=STALL)
+        response = await server.dispatch(
+            plan_msg("other", gpus=4, deadline_s=MISS_DEADLINE_S)
         )
-        response = await server.dispatch(plan_msg("other", gpus=4))
         await drain(server)
         return response
 
     response = asyncio.run(scenario())
     assert response["status"] == "ok" and response["degraded"] is True
     assert response["source"] == "stale-cache"
+    assert "deadline" in response["reason"]
 
 
 def test_breaker_opens_then_probe_recovers():
     async def scenario():
         server = make_server(
-            chaos=ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=99),
-            retry=RetryPolicy(max_retries=0, backoff_base=0.01),
+            chaos=STALL,
             breaker_threshold=2,
             breaker_cooldown_s=0.05,
         )
         await server.start()
-        first = await server.dispatch(plan_msg("a"))
-        second = await server.dispatch(plan_msg("b"))
+        first = await server.dispatch(
+            plan_msg("a", deadline_s=MISS_DEADLINE_S)
+        )
+        second = await server.dispatch(
+            plan_msg("b", deadline_s=MISS_DEADLINE_S)
+        )
         opened_state = server.breaker.state
         # While open (within cooldown) the planner is bypassed.
-        third = await server.dispatch(plan_msg("c"))
+        third = await server.dispatch(
+            plan_msg("c", deadline_s=MISS_DEADLINE_S)
+        )
         planned_before = server.stats.fresh
         # Heal the planner, wait out the cooldown: the next request is
         # the half-open probe and closes the breaker.
@@ -262,6 +231,7 @@ def test_breaker_opens_then_probe_recovers():
     (first, second, opened_state, third, planned_before,
      fourth, closed_state, probes) = asyncio.run(scenario())
     assert first["degraded"] and second["degraded"]
+    assert "deadline" in first["reason"] and "deadline" in second["reason"]
     assert opened_state == OPEN
     assert third["degraded"] and "circuit breaker open" in third["reason"]
     assert planned_before == 0
@@ -274,16 +244,17 @@ def test_breaker_opens_then_probe_recovers():
 def test_unexpected_planner_error_does_not_wedge_the_breaker():
     async def scenario():
         server = make_server(
-            chaos=ChaosSchedule(seed=0, kill_rate=1.0, kill_attempts=99),
-            retry=RetryPolicy(max_retries=0, backoff_base=0.01),
+            chaos=STALL,
             breaker_threshold=1,
             breaker_cooldown_s=0.0,
         )
         await server.start()
-        opened = await server.dispatch(plan_msg("a"))
+        opened = await server.dispatch(
+            plan_msg("a", deadline_s=MISS_DEADLINE_S)
+        )
         opened_state = server.breaker.state
         # Heal the chaos, but make the half-open probe's planner call
-        # raise something that is neither a worker death nor a deadline.
+        # raise something other than a deadline miss.
         server.config = dataclasses.replace(server.config, chaos=None)
         real = server.core.plan_request
         raised = []
