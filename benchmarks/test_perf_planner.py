@@ -3,14 +3,21 @@
 Times ``Espresso.select_strategy()`` across the six zoo models on the
 paper's 8-machine NVLink testbed and writes ``BENCH_planner.json`` at
 the repo root (the perf-trajectory seed): model → {selection_ms,
-evaluations, cache_hit_rate}.  For BERT-base it additionally measures
-the before/after of the fast evaluation layer — ``fast_eval=False``
-prices every F(S) with a from-scratch run (one base run of the
-incremental simulator, no memo, no swap replay) — and asserts the
-layer's speedup while checking the selected strategy is bit-identical
-either way.  The from-scratch run is not the planner's pre-layer
-engine: it pays the incremental simulator's set-up, so ``before_ms``
-is the cost of the reference path, not a historical baseline.
+evaluations, incremental_sims, events_replayed, cache_hit_rate}.  The
+three work counts do not depend on the host, and a test fails when they
+differ from the committed file: a change that moves search work
+re-records it on purpose (the failing run has already merged the new
+counts into the file).  Every timed selection starts from a cleared
+candidate-ranking memo, so each times a from-scratch selection.
+
+For BERT-base it additionally measures the before/after of the fast
+evaluation layer — ``fast_eval=False`` prices every F(S) with a
+from-scratch run (one base run of the incremental simulator, no memo,
+no swap replay) — and asserts the layer's speedup while checking the
+selected strategy is bit-identical either way.  The from-scratch run is
+not the planner's pre-layer engine: it pays the incremental simulator's
+set-up, so ``before_ms`` is the cost of the reference path, not a
+historical baseline.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from benchmarks.harness import emit, merge_bench_json, paper_scale
 from repro.cluster import nvlink_100g_cluster
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core import Espresso
+from repro.core.algorithm import clear_prefilter_memo
 from repro.models import available_models
 from repro.utils import render_table
 
@@ -53,6 +61,7 @@ def _job(model_name: str) -> JobConfig:
 
 
 def _timed_selection(job: JobConfig, fast_eval: bool):
+    clear_prefilter_memo()
     start = time.perf_counter()
     result = Espresso(job, fast_eval=fast_eval).select_strategy()
     return (time.perf_counter() - start) * 1e3, result
@@ -75,6 +84,8 @@ def compute_records():
         records[name] = {
             "selection_ms": round(ms, 1),
             "evaluations": stats.fs_calls,
+            "incremental_sims": stats.incremental_sims,
+            "events_replayed": stats.events_replayed,
             # Answered-without-simulation rate (memo + dedup + lower-bound
             # prunes); memo_hit_rate is the narrow memo-only metric.
             "cache_hit_rate": round(stats.cache_hit_rate, 4),
@@ -170,6 +181,22 @@ def test_perf_planner(benchmark):
     assert bert["speedup"] >= 2.0, bert
 
 
+#: Per-model search work that must match the committed file exactly.
+WORK_COUNTS = ("evaluations", "incremental_sims", "events_replayed")
+
+
+def test_work_counts_match_committed():
+    """Each model's selection does the committed search work: F(S)
+    evaluations, incremental simulations and replayed events.  Unlike
+    the wall-clock gates this one is exact, because the counts do not
+    depend on the host."""
+    for name, record in compute_records().items():
+        committed = _COMMITTED.get(name, {})
+        assert {count: committed.get(count) for count in WORK_COUNTS} == {
+            count: record[count] for count in WORK_COUNTS
+        }, f"{name}: search work changed; re-record BENCH_planner.json"
+
+
 #: Fusion benchmark coverage: the full zoo at paper scale, the three
 #: models with the largest launch-overhead exposure in CI.
 FUSION_MODELS = (
@@ -186,6 +213,7 @@ def fusion_records():
     records = {}
     for name in FUSION_MODELS:
         job = _job(name)
+        clear_prefilter_memo()
         start = time.perf_counter()
         result = FusionPlanner(job).select_strategy()
         ms = (time.perf_counter() - start) * 1e3
@@ -254,6 +282,7 @@ def ratio_records():
     records = {}
     for name in RATIO_MODELS:
         job = _job(name)
+        clear_prefilter_memo()
         start = time.perf_counter()
         result = Espresso(
             job, ratios=DEFAULT_RATIO_LADDER

@@ -18,6 +18,7 @@ from repro.baselines.bruteforce import (
 from repro.cluster import nvlink_100g_cluster
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core import Espresso
+from repro.core.algorithm import clear_prefilter_memo
 from repro.core.strategy import StrategyEvaluator
 from repro.core.tree import search_space_size
 from repro.models import available_models, get_model
@@ -48,6 +49,10 @@ def compute_rows():
     rows = []
     for name in _models():
         job = JobConfig(model=get_model(name), gc=gc, system=SystemInfo(cluster=cluster))
+        # The models share one pricing context: clear the candidate
+        # ranking memo so each selection is timed from scratch, as the
+        # paper's Table 5 times it.
+        clear_prefilter_memo()
         result = Espresso(job).select_strategy()
         per_eval = measure_evaluation_seconds(StrategyEvaluator(job), samples=5)
         brute = estimate_search_seconds(

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
 import statistics
 import time
@@ -188,6 +190,10 @@ def main() -> int:
 
     report = {
         "elapsed_seconds": time.perf_counter() - start,
+        "host": {
+            "cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+        },
         "mixes": mixes,
         "churn": churn,
         "crash": crash,

@@ -21,8 +21,10 @@ Faithful implementation of the paper's pseudo-code:
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bubbles import DEFAULT_MIN_BUBBLE, tensors_before_bubbles
 from repro.core.options import CompressionOption, Device, canonical_key
@@ -233,86 +235,92 @@ def prefilter_candidates(
     :meth:`~repro.core.plan.PlanCompiler.standalone_times`, which prices
     a candidate without building its stage chain, so only the survivors
     are ever compiled.  ``per_device=0`` disables filtering — the exact,
-    paper-sized search.
+    paper-sized search.  The planner's phases read these rankings
+    through :func:`memoized_prefilter`.
     """
+    kept = _kept_positions(compiler, candidates, num_elements, per_device)
+    return [candidates[position] for position in kept]
+
+
+def _kept_positions(
+    compiler: PlanCompiler,
+    candidates: Sequence[CompressionOption],
+    num_elements: int,
+    per_device: int,
+) -> Tuple[int, ...]:
+    """Where in ``candidates`` :func:`prefilter_candidates` keeps what."""
     if per_device <= 0:
-        return list(candidates)
+        return tuple(range(len(candidates)))
     by_device: dict = {}
-    for option in candidates:
+    for position, option in enumerate(candidates):
         device = "cpu" if option.uses_device(Device.CPU) else "gpu"
         comm, total = compiler.standalone_times(option, num_elements)
-        by_device.setdefault(device, []).append((comm, total, option))
-    kept: List[CompressionOption] = []
+        by_device.setdefault(device, []).append((comm, total, position))
+    kept: List[int] = []
     seen: set = set()
     for entries in by_device.values():
         for key in (0, 1):  # by comm time, then by total time
             for entry in sorted(entries, key=lambda e: e[key])[:per_device]:
-                option = entry[2]
-                if canonical_key(option) not in seen:
-                    seen.add(canonical_key(option))
-                    kept.append(option)
-    return kept
+                option_key = canonical_key(candidates[entry[2]])
+                if option_key not in seen:
+                    seen.add(option_key)
+                    kept.append(entry[2])
+    return tuple(kept)
 
 
-class CandidatePrefilter:
-    """Planner-owned per-size prefilter cache shared across phases.
+#: Most tables the shared memo holds (the least recently resolved goes
+#: first), and most sizes a table ranks.
+PREFILTER_MEMO_SIZE = 256
+_MEMO_LOCK = threading.Lock()
+#: (pricing context, candidate keys, per_device) -> {size: kept positions}.
+_MEMO: "OrderedDict[tuple, Dict[int, Tuple[int, ...]]]" = OrderedDict()
 
-    :func:`prefilter_candidates` prices every candidate's standalone
-    cost; the result depends only on the tensor *size*, yet each
-    ``gpu_compression_decision`` and every ``refinement_sweep`` call used
-    to rebuild it from scratch.  One instance of this class, created by
-    the :class:`~repro.core.espresso.Espresso` planner and threaded
-    through all phases, computes each size's candidate list exactly once
-    per job.
 
-    The per-size cache keys on ``num_elements`` *alone* — it is only
-    valid for phases searching exactly the candidate set this instance
-    was built from.  Sharing one prefilter between phases with different
-    candidate sets would silently serve the wrong lists; the phases
-    therefore call :meth:`ensure_compatible`, which turns that misuse
-    into a loud :class:`ValueError`.
+def clear_prefilter_memo() -> None:
+    """Forget every shared ranking, so the next selection ranks cold."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
+
+
+def memoized_prefilter(
+    compiler: PlanCompiler,
+    candidates: Sequence[CompressionOption],
+    per_device: int = 3,
+) -> Callable[[int], List[CompressionOption]]:
+    """:func:`prefilter_candidates` over ``candidates``, by tensor size,
+    ranked once per process.
+
+    A ranking depends only on the compiler's ``pricing_context``, the
+    candidate set, ``per_device`` and the size, so every planner in the
+    process with an equal key shares it; a compiler without a context
+    ranks into a table private to this call.  The candidate set's table
+    is resolved once here, and entries are tuples of kept positions, so
+    each caller gets back exactly the objects a cold
+    :func:`prefilter_candidates` would return.
     """
+    candidates = list(candidates)
+    context = compiler.pricing_context
+    memo = _MEMO if context is not None else OrderedDict()
+    key = (context, tuple(canonical_key(o) for o in candidates), per_device)
+    with _MEMO_LOCK:
+        table = memo.get(key)
+        if table is None:
+            table = memo[key] = {}
+            if len(memo) > PREFILTER_MEMO_SIZE:
+                memo.popitem(last=False)
+        memo.move_to_end(key)
 
-    def __init__(
-        self,
-        compiler: PlanCompiler,
-        candidates: Sequence[CompressionOption],
-        per_device: int = 3,
-    ):
-        self.compiler = compiler
-        self.candidates = list(candidates)
-        self.per_device = per_device
-        self._cache: Dict[int, List[CompressionOption]] = {}
-        self._signature = tuple(canonical_key(o) for o in self.candidates)
-
-    def ensure_compatible(
-        self, candidates: Sequence[CompressionOption]
-    ) -> None:
-        """Raise ValueError unless ``candidates`` matches the build set.
-
-        Cached per-size lists depend only on tensor size, so serving a
-        phase that searches a different candidate set would be a silent
-        wrong-cache reuse — this check makes it a loud error instead.
-        """
-        signature = tuple(canonical_key(o) for o in candidates)
-        if signature != self._signature:
-            raise ValueError(
-                "CandidatePrefilter was built from a different candidate "
-                f"set ({len(self._signature)} options) than this phase "
-                f"searches ({len(signature)} options); build one "
-                "prefilter per candidate set — its per-size cache keys "
-                "on num_elements alone and cannot be shared across sets"
-            )
-
-    def for_size(self, num_elements: int) -> List[CompressionOption]:
-        """The (cached) surviving candidates for one tensor size."""
-        kept = self._cache.get(num_elements)
+    def for_size(num_elements: int) -> List[CompressionOption]:
+        with _MEMO_LOCK:
+            kept = table.get(num_elements)
         if kept is None:
-            kept = prefilter_candidates(
-                self.compiler, self.candidates, num_elements, self.per_device
-            )
-            self._cache[num_elements] = kept
-        return kept
+            kept = _kept_positions(compiler, candidates, num_elements, per_device)
+            with _MEMO_LOCK:
+                if len(table) < PREFILTER_MEMO_SIZE:
+                    table[num_elements] = kept
+        return [candidates[position] for position in kept]
+
+    return for_size
 
 
 def sorted_tensor_groups(evaluator: StrategyEvaluator) -> List[List[int]]:
@@ -348,29 +356,22 @@ def gpu_compression_decision(
     candidates: Optional[Sequence[CompressionOption]] = None,
     min_bubble: float = DEFAULT_MIN_BUBBLE,
     prefilter_per_device: int = 3,
-    prefilter: Optional[CandidatePrefilter] = None,
     error_budget: Optional[ErrorBudget] = None,
 ) -> GPUDecisionResult:
     """Run Algorithm 1 and return the GPU-compression strategy.
 
     ``prefilter_per_device`` bounds GetBestOption's per-tensor candidate
-    set (see :func:`prefilter_candidates`); pass 0 for the exact search.
-    A planner that runs several phases should build one
-    :class:`CandidatePrefilter` and pass it as ``prefilter`` so the
-    per-size filtering work is shared; when omitted, a private one is
-    built from ``candidates``/``prefilter_per_device``.  An
+    set (see :func:`prefilter_candidates`, read through the process-wide
+    :func:`memoized_prefilter`); pass 0 for the exact search.  An
     ``error_budget`` filters each tensor's candidate list to the options
     that keep the committed strategy's global weighted error within
     budget.
     """
-    if prefilter is None:
-        if candidates is None:
-            candidates = gpu_candidate_options()
-        prefilter = CandidatePrefilter(
-            evaluator.compiler, candidates, prefilter_per_device
-        )
-    elif candidates is not None:
-        prefilter.ensure_compatible(candidates)
+    if candidates is None:
+        candidates = gpu_candidate_options()
+    options_for = memoized_prefilter(
+        evaluator.compiler, candidates, prefilter_per_device
+    )
     evaluations_before = evaluator.evaluations
 
     strategy = evaluator.baseline()
@@ -404,9 +405,7 @@ def gpu_compression_decision(
             # candidate whose sound lower bound already reaches it —
             # the decision (including ties) is bit-identical.
             best_option = strategy[index]
-            options = prefilter.for_size(
-                evaluator.model.tensors[index].num_elements
-            )
+            options = options_for(evaluator.model.tensors[index].num_elements)
             if error_budget is not None:
                 options = [
                     option
@@ -442,7 +441,6 @@ def refinement_sweep(
     strategy: CompressionStrategy,
     candidates: Sequence[CompressionOption],
     prefilter_per_device: int = 3,
-    prefilter: Optional[CandidatePrefilter] = None,
     error_budget: Optional[ErrorBudget] = None,
 ) -> Tuple[CompressionStrategy, float, bool]:
     """One GetBestOption pass over *all* tensors in the final context.
@@ -469,12 +467,9 @@ def refinement_sweep(
     from repro.core.options import no_compression_option
 
     keep_plain = no_compression_option()
-    if prefilter is None:
-        prefilter = CandidatePrefilter(
-            evaluator.compiler, candidates, prefilter_per_device
-        )
-    else:
-        prefilter.ensure_compatible(candidates)
+    options_for = memoized_prefilter(
+        evaluator.compiler, candidates, prefilter_per_device
+    )
     best_time = evaluator.iteration_time(strategy)
     improved = False
     for group in sorted_tensor_groups(evaluator):
@@ -483,9 +478,7 @@ def refinement_sweep(
             options = [
                 option
                 for option in [
-                    *prefilter.for_size(
-                        evaluator.model.tensors[index].num_elements
-                    ),
+                    *options_for(evaluator.model.tensors[index].num_elements),
                     keep_plain,
                 ]
                 if canonical_key(option) != resident_key

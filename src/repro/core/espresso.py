@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 from repro.config import JobConfig
 from repro.core.algorithm import (
     IMPROVEMENT_EPSILON,
-    CandidatePrefilter,
     ErrorBudget,
     GPUDecisionResult,
     device_candidate_options,
@@ -23,7 +22,7 @@ from repro.core.algorithm import (
     refinement_sweep,
 )
 from repro.core.offload import OffloadResult, cpu_offload_decision
-from repro.core.options import CompressionOption, Device, ladder_options
+from repro.core.options import CompressionOption, Device, canonical_key, ladder_options
 from repro.core.presets import uniform_strategies
 from repro.core.strategy import (
     CompressionStrategy,
@@ -213,47 +212,38 @@ class Espresso:
             if error_budget is not None
             else None
         )
-        # One prefilter for all phases: Algorithm 1 and every refinement
-        # sweep share the per-size candidate lists instead of rebuilding
-        # them from scratch each call.
-        self.prefilter = CandidatePrefilter(
-            self.evaluator.compiler, self.candidates, prefilter_per_device
-        )
-        self._fixed_prefilter = (
-            CandidatePrefilter(
-                self.evaluator.compiler,
-                self._fixed_candidates,
-                prefilter_per_device,
-            )
-            if self.ratio_laddered
-            else self.prefilter
-        )
+        # Key the candidates in search order before anything is priced:
+        # exact F(S) ties break toward the smaller canonical key
+        # (best_priced), and keys count up in first-seen order.
+        for option in self.candidates:
+            canonical_key(option)
         self.refinement_sweeps = refinement_sweeps
         self.min_sweep_improvement = min_sweep_improvement
 
     def _run_pipeline(
         self,
-        prefilter: CandidatePrefilter,
+        evaluator: StrategyEvaluator,
         candidates: Sequence[CompressionOption],
     ) -> "_PipelineOutcome":
         """Algorithm 1 + Algorithm 2 + portfolio seed + sweeps over one
         candidate set.  The laddered and fixed-ratio pipelines both run
-        through here, sharing ``self.evaluator``'s caches — the fast
-        layer is exact, so each pipeline's outcome is bit-identical to a
-        standalone planner searching the same candidates."""
+        through here on the planner's one ``evaluator``, sharing its
+        caches — the fast layer is exact, so each pipeline's outcome is
+        bit-identical to a standalone planner searching the same
+        candidates.  ``candidates`` stays the third positional argument:
+        the benchmark suite's span tracer reads it there."""
         start = time.perf_counter()
         gpu_result = gpu_compression_decision(
-            self.evaluator,
+            evaluator,
             candidates=candidates,
             prefilter_per_device=self.prefilter_per_device,
-            prefilter=prefilter,
             error_budget=self._error_budget,
         )
         gpu_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
         offload_result = cpu_offload_decision(
-            self.evaluator,
+            evaluator,
             gpu_result.strategy,
             max_evaluations=self.max_offload_evaluations,
         )
@@ -284,7 +274,7 @@ class Espresso:
                 and not self._error_budget.admits_strategy(uniform)
             ):
                 continue
-            uniform_time = self.evaluator.iteration_time(uniform)
+            uniform_time = evaluator.iteration_time(uniform)
             if uniform_time < best_time:
                 strategy, best_time = uniform, uniform_time
                 portfolio_seeded = True
@@ -294,11 +284,10 @@ class Espresso:
         for _ in range(self.refinement_sweeps):
             before = best_time
             strategy, best_time, improved = refinement_sweep(
-                self.evaluator,
+                evaluator,
                 strategy,
                 candidates,
                 prefilter_per_device=self.prefilter_per_device,
-                prefilter=prefilter,
                 error_budget=self._error_budget,
             )
             sweeps_run += 1
@@ -311,7 +300,7 @@ class Espresso:
             # (Algorithm 2 time, not refinement time).
             offload_start = time.perf_counter()
             offload_result = cpu_offload_decision(
-                self.evaluator,
+                evaluator,
                 strategy,
                 max_evaluations=self.max_offload_evaluations,
             )
@@ -343,16 +332,14 @@ class Espresso:
         baseline_time = self.evaluator.iteration_time(self.evaluator.baseline())
         baseline_seconds = time.perf_counter() - start
 
-        chosen = self._run_pipeline(self.prefilter, self.candidates)
+        chosen = self._run_pipeline(self.evaluator, self.candidates)
         fixed: Optional[_PipelineOutcome] = None
         if self.ratio_laddered:
             # Portfolio guarantee: also run the fixed-ratio pipeline
             # (warm through the shared evaluator caches) and keep the
             # better result — fixed wins ties, so enabling the ladder
             # can never select a worse plan than leaving it off.
-            fixed = self._run_pipeline(
-                self._fixed_prefilter, self._fixed_candidates
-            )
+            fixed = self._run_pipeline(self.evaluator, self._fixed_candidates)
             winner = (
                 chosen
                 if chosen.iteration_time

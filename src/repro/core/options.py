@@ -29,6 +29,7 @@ decompressing the pieces received by a first-step collective (Fig. 4(b)).
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -236,6 +237,10 @@ class CompressionOption:
 #: is bounded by the search-space size and guarantees keys are never
 #: recycled the way ``id()`` is after garbage collection.
 _CANONICAL_KEYS: dict = {}
+#: Serializes the registry's read-then-store: two threads interning new
+#: values at once (``repro serve --workers 2``) would otherwise both
+#: read the same ``len`` and hand two values one key.
+_INTERN_LOCK = threading.Lock()
 
 
 def canonical_key(option: CompressionOption) -> int:
@@ -253,14 +258,13 @@ def canonical_key(option: CompressionOption) -> int:
     The key is memoized on the option object itself (value hashing walks
     the whole action tuple — far too slow for the planner's hot loop,
     which computes millions of keys); the object-level memo cannot alias
-    because it dies with the object.
+    because it dies with the object.  Only the miss path takes a lock;
+    the hit path stays one attribute read.
     """
     key = option.__dict__.get("_canonical_key")
     if key is None:
-        key = _CANONICAL_KEYS.get(option)
-        if key is None:
-            key = len(_CANONICAL_KEYS)
-            _CANONICAL_KEYS[option] = key
+        with _INTERN_LOCK:
+            key = _CANONICAL_KEYS.setdefault(option, len(_CANONICAL_KEYS))
         object.__setattr__(option, "_canonical_key", key)
     return key
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.topology import ClusterSpec
 from repro.comm.routines import LinkParams, Routine, routine_time
@@ -117,9 +117,14 @@ class PlanCompiler:
         compressor: Compressor,
         gpu: DeviceProfile,
         cpu: DeviceProfile,
+        pricing_context: Optional[Hashable] = None,
     ):
         self.cluster = cluster
         self.compressor = compressor
+        #: Value key of what prices an (option, size) pair here, or None:
+        #: compilers with equal keys share candidate rankings
+        #: (:func:`repro.core.algorithm.memoized_prefilter`).
+        self.pricing_context = pricing_context
         self._models = {
             Device.GPU: CompressionTimeModel(gpu, compressor.work_factor),
             Device.CPU: CompressionTimeModel(cpu, compressor.work_factor),

@@ -415,11 +415,18 @@ class StrategyEvaluator:
         self.model = job.model
         self.cluster = job.system.cluster
         self.compressor = job.build_compressor()
+        try:  # the value key of everything that prices this job's options
+            params = tuple(sorted(job.gc.params.items()))
+            context = (job.system, job.gc.algorithm, params)
+            hash(context)
+        except TypeError:
+            context = None
         self.compiler = PlanCompiler(
             cluster=self.cluster,
             compressor=self.compressor,
             gpu=job.system.gpu,
             cpu=job.system.cpu,
+            pricing_context=context,
         )
         self._cpu_capacity = job.system.cpu.parallel_workers
         #: Each tensor's backprop compute stage, shared by its chains.

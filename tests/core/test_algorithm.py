@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.algorithm import (
     IMPROVEMENT_EPSILON,
-    CandidatePrefilter,
     best_priced,
+    clear_prefilter_memo,
     device_candidate_options,
     gpu_candidate_options,
     gpu_compression_decision,
+    memoized_prefilter,
     prefilter_candidates,
     refinement_sweep,
     sorted_tensor_groups,
@@ -266,38 +267,15 @@ def test_prefilter_ranks_without_compiling_chains(monkeypatch):
         return real_stages(self, option, num_elements)
 
     monkeypatch.setattr(PlanCompiler, "stages", counting_stages)
-    prefilter = CandidatePrefilter(fresh.compiler, candidates)
-    kept = {size: prefilter.for_size(size) for size in sizes}
+    clear_prefilter_memo()  # so that every size is really ranked here
+    options_for = memoized_prefilter(fresh.compiler, candidates)
+    kept = {size: options_for(size) for size in sizes}
     assert compiled == []
     monkeypatch.undo()
 
     reference = evaluator().compiler
     for size in sizes:
         assert kept[size] == _reference_prefilter(reference, candidates, size)
-
-
-def test_prefilter_rejects_mismatched_candidate_set(medium_evaluator):
-    """The per-size cache keys on num_elements alone, so serving a phase
-    with a different candidate set must be a loud error."""
-    prefilter = CandidatePrefilter(
-        medium_evaluator.compiler, device_candidate_options()
-    )
-    prefilter.ensure_compatible(device_candidate_options())  # same set: ok
-    with pytest.raises(ValueError, match="different candidate set"):
-        prefilter.ensure_compatible(gpu_candidate_options())
-    with pytest.raises(ValueError, match="different candidate set"):
-        gpu_compression_decision(
-            medium_evaluator,
-            candidates=gpu_candidate_options(),
-            prefilter=prefilter,
-        )
-    with pytest.raises(ValueError, match="different candidate set"):
-        refinement_sweep(
-            medium_evaluator,
-            medium_evaluator.baseline(),
-            gpu_candidate_options(),
-            prefilter=prefilter,
-        )
 
 
 def test_compute_bound_job_declines_compression(small_cluster):

@@ -1,5 +1,8 @@
 """CompressionOption / Action tests."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.options import (
@@ -9,6 +12,7 @@ from repro.core.options import (
     Device,
     Phase,
     RoutineName,
+    canonical_key,
     no_compression_option,
     validate_option,
 )
@@ -138,3 +142,35 @@ def test_validate_catches_phase_mixing():
     )
     problems = validate_option(option)
     assert any("flat option contains" in p for p in problems)
+
+
+def test_canonical_key_interning_is_thread_safe():
+    """Two threads interning new values at once never share a key.
+
+    Unlocked, interning read the table's size and stored it as the new
+    key in two steps, so two threads could both read one size: 8,000
+    new values from two threads at a 1 us switch interval collided in
+    the hundreds."""
+    base = inter_allgather_option(Device.GPU)
+    # Ratios no ladder uses, so every value is new to this process.
+    variants = [
+        [base.with_ratio(0.5 + (2 * i + thread) * 1e-7) for i in range(4000)]
+        for thread in (0, 1)
+    ]
+    keys = [None, None]
+
+    def intern(thread):
+        keys[thread] = [canonical_key(option) for option in variants[thread]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=intern, args=(t,)) for t in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    every_key = keys[0] + keys[1]
+    assert len(set(every_key)) == len(every_key)
