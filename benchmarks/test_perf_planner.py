@@ -4,11 +4,13 @@ Times ``Espresso.select_strategy()`` across the six zoo models on the
 paper's 8-machine NVLink testbed and writes ``BENCH_planner.json`` at
 the repo root (the perf-trajectory seed): model → {selection_ms,
 evaluations, incremental_sims, events_replayed, cache_hit_rate}.  The
-three work counts do not depend on the host, and a test fails when they
-differ from the committed file: a change that moves search work
-re-records it on purpose (the failing run has already merged the new
-counts into the file).  Every timed selection starts from a cleared
-candidate-ranking memo, so each times a from-scratch selection.
+three work counts are taken in a fresh interpreter, so they depend on
+neither the host nor what the test process planned before, and a test
+fails when they differ from the committed file: a change that moves
+search work re-records it on purpose (the failing run has already
+merged the new counts into the file).  Every timed selection starts
+from a cleared candidate-ranking memo, so each times a from-scratch
+selection.
 
 For BERT-base it additionally measures the before/after of the fast
 evaluation layer — ``fast_eval=False`` prices every F(S) with a
@@ -27,6 +29,8 @@ import gc
 import json
 import os
 import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -40,7 +44,9 @@ from repro.core.algorithm import clear_prefilter_memo
 from repro.models import available_models
 from repro.utils import render_table
 
-BENCH_PATH = Path(__file__).parent.parent / "BENCH_planner.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
+BENCH_PATH = REPO_ROOT / "BENCH_planner.json"
 
 # The committed trajectory baseline, captured at import — before
 # test_perf_planner merges this run's numbers into the same file — so
@@ -67,6 +73,53 @@ def _timed_selection(job: JobConfig, fast_eval: bool):
     return (time.perf_counter() - start) * 1e3, result
 
 
+#: Per-model search work that must match the committed file exactly,
+#: and the ``EvaluatorStats`` field each count is read from.
+WORK_COUNTS = {
+    "evaluations": "fs_calls",
+    "incremental_sims": "incremental_sims",
+    "events_replayed": "events_replayed",
+}
+
+
+def work_counts() -> dict:
+    """Each zoo model's work counts, planned once in zoo order."""
+    counts = {}
+    for name in available_models():
+        stats = Espresso(_job(name)).select_strategy().stats
+        counts[name] = {
+            count: getattr(stats, field) for count, field in WORK_COUNTS.items()
+        }
+    return counts
+
+
+@functools.lru_cache(maxsize=1)
+def fresh_work_counts() -> dict:
+    """:func:`work_counts` in a fresh interpreter.  Exact F(S) ties
+    break by canonical key, which numbers options in the order a process
+    first interns them, so a process that planned other jobs first can
+    do different (equally fast) search work; a fresh interpreter always
+    starts from the same order."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import json; from benchmarks.test_perf_planner import "
+            "work_counts; print(json.dumps(work_counts()))",
+        ],
+        cwd=REPO_ROOT,
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(str(p) for p in (REPO_ROOT, SRC)),
+        ),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 @functools.lru_cache(maxsize=1)
 def compute_records():
     records = {}
@@ -83,9 +136,7 @@ def compute_records():
         stats = result.stats
         records[name] = {
             "selection_ms": round(ms, 1),
-            "evaluations": stats.fs_calls,
-            "incremental_sims": stats.incremental_sims,
-            "events_replayed": stats.events_replayed,
+            **fresh_work_counts()[name],
             # Answered-without-simulation rate (memo + dedup + lower-bound
             # prunes); memo_hit_rate is the narrow memo-only metric.
             "cache_hit_rate": round(stats.cache_hit_rate, 4),
@@ -181,20 +232,16 @@ def test_perf_planner(benchmark):
     assert bert["speedup"] >= 2.0, bert
 
 
-#: Per-model search work that must match the committed file exactly.
-WORK_COUNTS = ("evaluations", "incremental_sims", "events_replayed")
-
-
 def test_work_counts_match_committed():
     """Each model's selection does the committed search work: F(S)
     evaluations, incremental simulations and replayed events.  Unlike
-    the wall-clock gates this one is exact, because the counts do not
-    depend on the host."""
-    for name, record in compute_records().items():
+    the wall-clock gates this one is exact, because counts taken in a
+    fresh interpreter depend neither on the host nor on test order."""
+    for name, counts in fresh_work_counts().items():
         committed = _COMMITTED.get(name, {})
-        assert {count: committed.get(count) for count in WORK_COUNTS} == {
-            count: record[count] for count in WORK_COUNTS
-        }, f"{name}: search work changed; re-record BENCH_planner.json"
+        assert {count: committed.get(count) for count in WORK_COUNTS} == (
+            counts
+        ), f"{name}: search work changed; re-record BENCH_planner.json"
 
 
 #: Fusion benchmark coverage: the full zoo at paper scale, the three

@@ -436,11 +436,6 @@ class DegradationTable:
     #: Worst observed single-plan time; the budget gate for full replans.
     max_plan_seconds: float = 0.0
     _planner_factory: Optional[Callable[[JobConfig], object]] = None
-    #: (time, source, strategy) of the best precomputed candidate per
-    #: fault model replanned, for at most ``len(entries)`` of them:
-    #: storms and churn revisit states, and this scoring is the one cost
-    #: a replan with an exhausted ledger still pays.
-    _scored: Dict[FaultModel, tuple] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -510,32 +505,28 @@ class DegradationTable:
         if ledger is not None:
             effective_budget = min(budget_seconds, ledger.remaining())
         perturbed = fault_model.apply_to_job(self.job)
-        scored = self._scored.get(fault_model)
-        if scored is None:
-            evaluator = StrategyEvaluator(perturbed)
-            candidates: List[Tuple[str, CompressionStrategy]] = [
-                (f"table:{entry.fault_name}", entry.strategy)
-                for entry in self.entries.values()
-            ]
-            candidates.extend(
-                (f"portfolio:{name}", strategy)
-                for name, strategy in _portfolio_candidates(
-                    perturbed.model.num_tensors
-                )
+        evaluator = StrategyEvaluator(perturbed)
+
+        candidates: List[Tuple[str, CompressionStrategy]] = [
+            (f"table:{entry.fault_name}", entry.strategy)
+            for entry in self.entries.values()
+        ]
+        candidates.extend(
+            (f"portfolio:{name}", strategy)
+            for name, strategy in _portfolio_candidates(
+                perturbed.model.num_tensors
             )
-            seen = set()
-            scored = (math.inf, "", None)
-            for name, strategy in candidates:
-                fp = strategy.fingerprint()
-                if fp in seen:
-                    continue
-                seen.add(fp)
-                value = evaluator.iteration_time(strategy)
-                if value < scored[0]:
-                    scored = (value, name, strategy)
-            if len(self._scored) < len(self.entries):
-                self._scored[fault_model] = scored
-        best_time, best_name, best_strategy = scored
+        )
+        seen = set()
+        best_name, best_strategy, best_time = "", None, math.inf
+        for name, strategy in candidates:
+            fp = strategy.fingerprint()
+            if fp in seen:
+                continue
+            seen.add(fp)
+            value = evaluator.iteration_time(strategy)
+            if value < best_time:
+                best_name, best_strategy, best_time = name, strategy, value
 
         used_full = False
         elapsed = time.perf_counter() - check_start

@@ -259,39 +259,6 @@ def test_replan_ledger_caps_back_to_back_membership_storm():
     )
 
 
-def test_replan_scores_a_revisited_state_once(monkeypatch):
-    """Storms and churn revisit fault states: a replan scores the
-    precomputed candidates once per state, and a revisit answers the
-    same from that score.  Scoring is all an exhausted ledger still pays
-    for, so paying it on every revisit let a storm's post-exhaustion
-    replans outgrow ``test_replan_ledger_caps_back_to_back_membership_storm``'s
-    one-replan slack once warm rankings made plans cheap."""
-    from repro.core import robust
-    from repro.training.elastic import membership_model
-
-    table = DegradationTable.build(make_job("lstm", "pcie"))
-    scorings = []
-
-    class CountingEvaluator(StrategyEvaluator):
-        def __init__(self, job):
-            scorings.append(job)
-            super().__init__(job)
-
-    monkeypatch.setattr(robust, "StrategyEvaluator", CountingEvaluator)
-    ledger = ReplanLedger(total_seconds=1e-9)  # no time for the planner
-    first, second = (
-        table.replan(membership_model(3), budget_seconds=60.0, ledger=ledger)
-        for _ in range(2)
-    )
-    assert len(scorings) == 1
-    assert not first.used_full_planner and not second.used_full_planner
-    assert (second.source, second.strategy, second.iteration_time) == (
-        first.source,
-        first.strategy,
-        first.iteration_time,
-    )
-
-
 def test_replan_exhausted_ledger_flags_over_budget():
     from repro.training.elastic import membership_model
 
