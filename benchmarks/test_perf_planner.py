@@ -9,8 +9,8 @@ neither the host nor what the test process planned before, and a test
 fails when they differ from the committed file: a change that moves
 search work re-records it on purpose (the failing run has already
 merged the new counts into the file).  Every timed selection starts
-from a cleared candidate-ranking memo, so each times a from-scratch
-selection.
+from cleared pricing tables (no shared chains or rankings), so each
+times a from-scratch selection.
 
 For BERT-base it additionally measures the before/after of the fast
 evaluation layer — ``fast_eval=False`` prices every F(S) with a
@@ -40,7 +40,7 @@ from benchmarks.harness import emit, merge_bench_json, paper_scale
 from repro.cluster import nvlink_100g_cluster
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core import Espresso
-from repro.core.algorithm import clear_prefilter_memo
+from repro.core.plan import clear_pricing_tables
 from repro.models import available_models
 from repro.utils import render_table
 
@@ -67,7 +67,7 @@ def _job(model_name: str) -> JobConfig:
 
 
 def _timed_selection(job: JobConfig, fast_eval: bool):
-    clear_prefilter_memo()
+    clear_pricing_tables()
     start = time.perf_counter()
     result = Espresso(job, fast_eval=fast_eval).select_strategy()
     return (time.perf_counter() - start) * 1e3, result
@@ -260,7 +260,7 @@ def fusion_records():
     records = {}
     for name in FUSION_MODELS:
         job = _job(name)
-        clear_prefilter_memo()
+        clear_pricing_tables()
         start = time.perf_counter()
         result = FusionPlanner(job).select_strategy()
         ms = (time.perf_counter() - start) * 1e3
@@ -329,7 +329,7 @@ def ratio_records():
     records = {}
     for name in RATIO_MODELS:
         job = _job(name)
-        clear_prefilter_memo()
+        clear_pricing_tables()
         start = time.perf_counter()
         result = Espresso(
             job, ratios=DEFAULT_RATIO_LADDER

@@ -20,6 +20,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 export PYTHONFAULTHANDLER=1
 PHASE_TIMEOUT="${PHASE_TIMEOUT:-900}"
+# The service and fleet drills write their reports here, not over the
+# committed BENCH_service.json and BENCH_fleet.json.
+BENCH_DIR="$(mktemp -d -t check-bench-XXXXXX)"
 
 run_phase() {
     # SIGABRT first (faulthandler dump), SIGKILL 15s later if wedged hard.
@@ -125,9 +128,10 @@ echo "== service: chaos load against repro serve, zero dropped requests =="
 # Spawns the planning server, replays a seeded request mix with
 # injected evaluator stalls and deadline pressure, shuts down via
 # SIGTERM drain, and exits non-zero on any dropped request, wire error,
-# or bit-identity mismatch.  Writes BENCH_service.json.
+# or bit-identity mismatch.  Writes its report to $BENCH_DIR.
 run_phase python scripts/service_bench.py --requests 60 --workers 2 \
-    --conns 4 --verify-plans 2 --sigterm
+    --conns 4 --verify-plans 2 --sigterm \
+    --output "$BENCH_DIR/BENCH_service.json"
 
 echo
 echo "== fleet: joint planning portfolio guarantee + seeded churn drill =="
@@ -135,10 +139,11 @@ echo "== fleet: joint planning portfolio guarantee + seeded churn drill =="
 # (joint >= selfish aggregate throughput, always), then a seeded churn
 # stream replans through the degradation tables against one cumulative
 # ledger: every replan within budget or explicitly degraded, zero
-# crashes.  Writes BENCH_fleet.json.
+# crashes.  Writes its report to $BENCH_DIR.
 run_phase python -m pytest -q tests/cluster/test_tenancy.py \
     tests/core/test_fleet.py
-run_phase python scripts/fleet_bench.py --quick
+run_phase python scripts/fleet_bench.py --quick \
+    --output "$BENCH_DIR/BENCH_fleet.json"
 run_phase python -m repro fleet --mix lstm-pair --check \
     | grep "conformance:"
 

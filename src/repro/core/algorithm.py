@@ -21,8 +21,6 @@ Faithful implementation of the paper's pseudo-code:
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -268,56 +266,32 @@ def _kept_positions(
     return tuple(kept)
 
 
-#: Most tables the shared memo holds (the least recently resolved goes
-#: first), and most sizes a table ranks.
-PREFILTER_MEMO_SIZE = 256
-_MEMO_LOCK = threading.Lock()
-#: (pricing context, candidate keys, per_device) -> {size: kept positions}.
-_MEMO: "OrderedDict[tuple, Dict[int, Tuple[int, ...]]]" = OrderedDict()
-
-
-def clear_prefilter_memo() -> None:
-    """Forget every shared ranking, so the next selection ranks cold."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-
-
 def memoized_prefilter(
     compiler: PlanCompiler,
     candidates: Sequence[CompressionOption],
     per_device: int = 3,
 ) -> Callable[[int], List[CompressionOption]]:
     """:func:`prefilter_candidates` over ``candidates``, by tensor size,
-    ranked once per process.
+    ranked once per pricing context.
 
-    A ranking depends only on the compiler's ``pricing_context``, the
-    candidate set, ``per_device`` and the size, so every planner in the
-    process with an equal key shares it; a compiler without a context
-    ranks into a table private to this call.  The candidate set's table
-    is resolved once here, and entries are tuples of kept positions, so
-    each caller gets back exactly the objects a cold
-    :func:`prefilter_candidates` would return.
+    A ranking depends only on what prices the candidates, the candidate
+    set, ``per_device`` and the size, so every compiler of ``compiler``'s
+    context shares it through the context's
+    :class:`~repro.core.plan.PricingTable`.
+    The candidate set's rankings are resolved once here, and entries
+    are tuples of kept positions, so each caller gets back exactly the
+    objects a cold :func:`prefilter_candidates` would return.
     """
     candidates = list(candidates)
-    context = compiler.pricing_context
-    memo = _MEMO if context is not None else OrderedDict()
-    key = (context, tuple(canonical_key(o) for o in candidates), per_device)
-    with _MEMO_LOCK:
-        table = memo.get(key)
-        if table is None:
-            table = memo[key] = {}
-            if len(memo) > PREFILTER_MEMO_SIZE:
-                memo.popitem(last=False)
-        memo.move_to_end(key)
+    ranked = compiler.table.rankings.setdefault(
+        (tuple(canonical_key(o) for o in candidates), per_device), {}
+    )
 
     def for_size(num_elements: int) -> List[CompressionOption]:
-        with _MEMO_LOCK:
-            kept = table.get(num_elements)
+        kept = ranked.get(num_elements)
         if kept is None:
             kept = _kept_positions(compiler, candidates, num_elements, per_device)
-            with _MEMO_LOCK:
-                if len(table) < PREFILTER_MEMO_SIZE:
-                    table[num_elements] = kept
+            ranked[num_elements] = kept
         return [candidates[position] for position in kept]
 
     return for_size

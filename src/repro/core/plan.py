@@ -14,6 +14,10 @@ walk has two outputs: :meth:`PlanCompiler.stages` wraps its durations in
 (cached) ``Stage`` objects, and :meth:`PlanCompiler.standalone_times`
 sums them without building any.
 
+What a pricing context has priced -- flattened chains and candidate
+rankings -- lives in one :class:`PricingTable` per context, shared by
+every compiler in the process with that context (DESIGN.md §5.1).
+
 Payload-state rules (one representative GPU):
 
 * A first-step collective (Reduce-scatter/Alltoall) divides the dense
@@ -33,7 +37,10 @@ Payload-state rules (one representative GPU):
 from __future__ import annotations
 
 import copy
+import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Tuple
 
@@ -60,6 +67,7 @@ from repro.sim.stages import (
     GPU,
     INTER,
     INTRA,
+    RESOURCES,
     Stage,
 )
 from repro.utils.validation import check_non_negative
@@ -108,6 +116,107 @@ class _Step(NamedTuple):
     link: Optional[LinkParams] = None
 
 
+#: One tensor's compiled chain, flattened: ``(chain key, resource
+#: indices, durations)``, as :meth:`~repro.sim.incremental.
+#: IncrementalSimulator.swap_chains_flat` consumes it (resources by their
+#: position in ``RESOURCES``).  Chain keys are unique in the process and
+#: equal exactly when the flattened chains are.
+ChainEntry = Tuple[int, Tuple[int, ...], Tuple[float, ...]]
+
+_RES_INDEX = {name: i for i, name in enumerate(RESOURCES)}
+
+#: Most contexts the process keeps rankings for; resolving one more
+#: drops the least recently resolved.
+RANKED_CONTEXTS = 256
+#: Most of those whose tables also keep chains: the most recently
+#: resolved.  Chains are most of a table's memory; rankings are small.
+PRICING_TABLES = 32
+#: A table holding this many chains (about 660 bytes each), or ranking
+#: this many sizes for one candidate set, is full: the next compiler of
+#: its context starts a fresh one.
+TABLE_CHAINS = 4096
+
+#: Guards the table memo and every write to a table.
+_LOCK = threading.Lock()
+_TABLES: "OrderedDict[Hashable, PricingTable]" = OrderedDict()
+_CHAIN_KEYS = itertools.count()
+
+
+class PricingTable:
+    """What one pricing context has priced, for every compiler in the
+    process with that context.
+
+    Attributes:
+        chains: (canonical option key, tensor size, compute time) -> the
+            tensor's :data:`ChainEntry` under that option.  Chain-equal
+            entries are one tuple.
+        rankings: (candidate keys, ``per_device``) -> {tensor size: the
+            positions :func:`repro.core.algorithm.prefilter_candidates`
+            keeps}.
+
+    Reads are plain dict lookups, and so are ranking stores: a ranking
+    is a pure function of its key, so two threads store equal tuples.
+    Interning takes the module lock, so two threads compiling one chain
+    get one chain key.
+    """
+
+    def __init__(self, rankings: Optional[Dict[tuple, dict]] = None) -> None:
+        self.chains: Dict[Tuple[int, int, float], ChainEntry] = {}
+        self.rankings: Dict[tuple, Dict[int, Tuple[int, ...]]] = (
+            {} if rankings is None else rankings
+        )
+        self._signatures: Dict[tuple, ChainEntry] = {}
+
+    def intern(
+        self, key: Tuple[int, int, float], stages: List[Stage]
+    ) -> ChainEntry:
+        """Record ``stages`` as the chain of ``key`` and return its entry."""
+        signature = (
+            tuple(_RES_INDEX[stage.resource] for stage in stages),
+            tuple(stage.duration for stage in stages),
+        )
+        with _LOCK:
+            entry = self._signatures.get(signature)
+            if entry is None:
+                entry = (next(_CHAIN_KEYS), *signature)
+                self._signatures[signature] = entry
+            self.chains[key] = entry
+        return entry
+
+
+def pricing_table(context: Optional[Hashable]) -> PricingTable:
+    """The process-wide table of ``context``; a private one for ``None``."""
+    if context is None:
+        return PricingTable()
+    with _LOCK:
+        table = _TABLES.get(context)
+        if table is None or _full(table):
+            table = _TABLES[context] = PricingTable()
+            if len(_TABLES) > RANKED_CONTEXTS:
+                _TABLES.popitem(last=False)
+        _TABLES.move_to_end(context)
+        if len(_TABLES) > PRICING_TABLES:
+            # The context that just left the most recent PRICING_TABLES
+            # keeps its rankings and drops its chains.  Compilers holding
+            # its table keep that table, so their chain keys stay put.
+            stale = next(itertools.islice(reversed(_TABLES), PRICING_TABLES, None))
+            if _TABLES[stale].chains:
+                _TABLES[stale] = PricingTable(_TABLES[stale].rankings)
+    return table
+
+
+def _full(table: PricingTable) -> bool:
+    return len(table.chains) >= TABLE_CHAINS or any(
+        len(sizes) >= TABLE_CHAINS for sizes in table.rankings.values()
+    )
+
+
+def clear_pricing_tables() -> None:
+    """Forget every shared table: compilers built afterwards price cold."""
+    with _LOCK:
+        _TABLES.clear()
+
+
 class PlanCompiler:
     """Compiles (option, tensor size) pairs into priced stage chains."""
 
@@ -121,10 +230,10 @@ class PlanCompiler:
     ):
         self.cluster = cluster
         self.compressor = compressor
-        #: Value key of what prices an (option, size) pair here, or None:
-        #: compilers with equal keys share candidate rankings
-        #: (:func:`repro.core.algorithm.memoized_prefilter`).
-        self.pricing_context = pricing_context
+        #: The table of ``pricing_context``, the value key of what prices
+        #: an (option, size) pair here: compilers with equal keys share
+        #: one, and a compiler without a key gets a private one.
+        self.table = pricing_table(pricing_context)
         self._models = {
             Device.GPU: CompressionTimeModel(gpu, compressor.work_factor),
             Device.CPU: CompressionTimeModel(cpu, compressor.work_factor),

@@ -28,21 +28,13 @@ from repro.core.options import (
     canonical_key,
     no_compression_option,
 )
-from repro.core.plan import PlanCompiler
+from repro.core.plan import ChainEntry, PlanCompiler
 from repro.sim.engine import Timeline, simulate, simulate_makespan
 from repro.sim.incremental import IncrementalSimulator
 from repro.sim.validate import assert_valid
 from repro.sim.metrics import scaling_factor as _scaling_factor
 from repro.sim.metrics import throughput as _throughput
-from repro.sim.stages import RESOURCES, TensorChain, compute_stage
-
-#: Resource-name -> index mapping in the simulator's RESOURCES order,
-#: used to pre-flatten chains for IncrementalSimulator.swap_chains_flat.
-_RES_INDEX = {name: i for i, name in enumerate(RESOURCES)}
-
-#: One tensor's compiled chain in the evaluator's cache: ``(chain key,
-#: resource indices, durations)``.
-ChainEntry = Tuple[int, Tuple[int, ...], Tuple[float, ...]]
+from repro.sim.stages import TensorChain, compute_stage
 
 
 @dataclass(frozen=True)
@@ -448,20 +440,12 @@ class StrategyEvaluator:
         #: attribute test per call.
         self.cancel_check: Optional[Callable[[], None]] = None
         self.stats = EvaluatorStats()
-        #: (canonical option key, tensor index) -> ``(chain key,
-        #: resources, durations)``: the tensor's stage chain as the
-        #: parallel tuples :meth:`IncrementalSimulator.swap_chains_flat`
-        #: consumes, plus its interned chain key (equal iff the
-        #: flattened chains are equal).  Keyed on the canonical *value*
-        #: key, not ``id(option)``, so a recycled ``id()`` can never
-        #: alias a stale chain.
+        #: (canonical option key, tensor index) -> the tensor's
+        #: :data:`~repro.core.plan.ChainEntry` under that option, read
+        #: through the compiler's pricing table.  Keyed on the canonical
+        #: *value* key, not ``id(option)``, so a recycled ``id()`` can
+        #: never alias a stale chain.
         self._chain_entries: Dict[Tuple[int, int], ChainEntry] = {}
-        #: Interning table: (resources, durations) -> the one shared
-        #: :data:`ChainEntry` for that chain.  Evaluator-local on
-        #: purpose — chain keys depend on this job's compiled stage
-        #: durations, so they must never be cached on (shared) strategy
-        #: or option objects.
-        self._chain_sig_intern: Dict[tuple, ChainEntry] = {}
         #: The F(S) memo of the resident base: makespans keyed by the
         #: ``(tensor index, chain key)`` pairs a trial changes, flattened
         #: in ascending index order.  The key says nothing about the
@@ -502,20 +486,20 @@ class StrategyEvaluator:
     def _chain_entry(self, index: int, option: CompressionOption) -> ChainEntry:
         """Tensor ``index``'s ``(chain key, resources, durations)`` under
         ``option``.  Two option values with different canonical keys can
-        share a chain key — that is the point (see ``_memo``)."""
-        key = (canonical_key(option), index)
-        entry = self._chain_entries.get(key)
+        share a chain key — that is the point (see ``_memo``).  A chain
+        this evaluator has not seen comes from the pricing table, which
+        every evaluator of this job's pricing context shares; only a
+        chain the table lacks is compiled."""
+        option_key = canonical_key(option)
+        entry = self._chain_entries.get((option_key, index))
         if entry is None:
-            stages = self._chain(index, option).stages
-            signature = (
-                tuple(_RES_INDEX[stage.resource] for stage in stages),
-                tuple(stage.duration for stage in stages),
-            )
-            entry = self._chain_sig_intern.get(signature)
+            tensor = self.model.tensors[index]
+            shared = (option_key, tensor.num_elements, tensor.compute_time)
+            table = self.compiler.table
+            entry = table.chains.get(shared)
             if entry is None:
-                entry = (len(self._chain_sig_intern), *signature)
-                self._chain_sig_intern[signature] = entry
-            self._chain_entries[key] = entry
+                entry = table.intern(shared, self._chain(index, option).stages)
+            self._chain_entries[(option_key, index)] = entry
         return entry
 
     def _flat_chain(

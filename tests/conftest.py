@@ -83,3 +83,43 @@ def tiny_evaluator(tiny_job):
 @pytest.fixture
 def medium_evaluator(medium_job):
     return StrategyEvaluator(medium_job)
+
+
+class PlannerClock:
+    """A fake ``time`` module for :mod:`repro.core.robust` whose
+    ``perf_counter`` moves only when a planner runs, by ``step`` seconds
+    per run, so replan budgets and ledgers decide the same way on any
+    host.  :meth:`planner_factory` wraps :class:`~repro.core.Espresso`
+    and is what a :class:`~repro.core.robust.DegradationTable` is built
+    with."""
+
+    def __init__(self, step: float):
+        self.step = step
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def planner_factory(self, job: JobConfig):
+        from repro.core import Espresso
+
+        planner = Espresso(job)
+        select = planner.select_strategy
+
+        def timed_select():
+            self.now += self.step
+            return select()
+
+        planner.select_strategy = timed_select
+        return planner
+
+
+@pytest.fixture
+def planner_clock(monkeypatch):
+    """:mod:`repro.core.robust` on a :class:`PlannerClock` that charges
+    1/8 s per planner run (a power of two, so sums of steps are exact)."""
+    from repro.core import robust
+
+    clock = PlannerClock(step=0.125)
+    monkeypatch.setattr(robust, "time", clock)
+    return clock

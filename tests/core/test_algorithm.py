@@ -5,7 +5,6 @@ import pytest
 from repro.core.algorithm import (
     IMPROVEMENT_EPSILON,
     best_priced,
-    clear_prefilter_memo,
     device_candidate_options,
     gpu_candidate_options,
     gpu_compression_decision,
@@ -16,7 +15,7 @@ from repro.core.algorithm import (
 )
 from repro.cluster import nvlink_100g_cluster
 from repro.core.options import Device, canonical_key, no_compression_option
-from repro.core.plan import PlanCompiler
+from repro.core.plan import PlanCompiler, clear_pricing_tables
 from repro.models import get_model, synthetic_model
 from repro.config import GCInfo, JobConfig, SystemInfo
 from repro.core.strategy import StrategyEvaluator
@@ -256,6 +255,7 @@ def test_prefilter_ranks_without_compiling_chains(monkeypatch):
             )
         )
 
+    clear_pricing_tables()  # so that every size is really ranked here
     fresh = evaluator()
     candidates = device_candidate_options()
     sizes = sorted({tensor.num_elements for tensor in fresh.model.tensors})
@@ -267,7 +267,6 @@ def test_prefilter_ranks_without_compiling_chains(monkeypatch):
         return real_stages(self, option, num_elements)
 
     monkeypatch.setattr(PlanCompiler, "stages", counting_stages)
-    clear_prefilter_memo()  # so that every size is really ranked here
     options_for = memoized_prefilter(fresh.compiler, candidates)
     kept = {size: options_for(size) for size in sizes}
     assert compiled == []

@@ -209,17 +209,20 @@ def test_replan_ledger_validation():
     assert ledger.events == 2
 
 
-def test_replan_ledger_caps_back_to_back_membership_storm():
+def test_replan_ledger_caps_back_to_back_membership_storm(planner_clock):
     """Regression for the replan budget accounting: ``budget_seconds``
     alone is per-event, so a storm of back-to-back membership faults
     historically spent ``events x budget`` in full planner runs.  A
     shared ledger makes the budget cumulative: once the remainder drops
     below the table's worst plan time, later replans stop running the
-    full planner but still answer from the precomputed pool."""
+    full planner but still answer from the precomputed pool.  Every
+    planner run costs one fixed clock step, so the budget decisions do
+    not depend on how fast this host plans."""
     from repro.training.elastic import membership_model
 
     job = make_job("lstm", "pcie")
-    table = DegradationTable.build(job)
+    table = DegradationTable.build(job, planner_factory=planner_clock.planner_factory)
+    assert table.max_plan_seconds == planner_clock.step
     storm = [membership_model(3 if i % 2 == 0 else 4) for i in range(6)]
 
     # Without a ledger every event pays full price — the old behaviour.
@@ -233,6 +236,8 @@ def test_replan_ledger_caps_back_to_back_membership_storm():
             table.replan(fault_model, budget_seconds=60.0, ledger=ledger)
         )
 
+    # A ledger of 2.5 plan times affords exactly two full replans.
+    assert [r.used_full_planner for r in results] == [True, True] + [False] * 4
     # Early events still afford the full planner...
     assert results[0].used_full_planner
     # ...but the cumulative cap kicks in before the storm ends.

@@ -172,13 +172,16 @@ def test_boundary_checkpoint_republished_with_new_membership(tmp_path):
     assert boundary and boundary[0]["workers"] == 5
 
 
-def test_replan_within_budget_via_degradation_table():
+def test_replan_within_budget_via_degradation_table(planner_clock):
+    """The default budget (twice the table's worst plan time) fits one
+    full replan.  Every planner run costs one fixed clock step, so that
+    holds however fast this host plans."""
     job = JobConfig(
         model=get_model("lstm"),
         gc=GCInfo("dgc", {"ratio": 0.01}),
         system=SystemInfo(cluster=pcie_25g_cluster(3, 2)),
     )
-    table = DegradationTable.build(job)
+    table = DegradationTable.build(job, planner_factory=planner_clock.planner_factory)
     trainer = SPEC.build_trainer()
     controller = ElasticController([MembershipEvent(3, 2)], table=table)
     controller.run(trainer, 5, eval_every=5)
